@@ -1,5 +1,5 @@
 //! Generates `docs/scenario-reference.md` from the canonical scenario-field
-//! registry ([`cc_report::scenario::deps::FIELDS`]) and the experiment
+//! table ([`cc_report::scenario::fields::FIELDS`]) and the experiment
 //! registry ([`cc_core::experiments::entries`]).
 //!
 //! The reference is *derived*, never hand-maintained: every settable dotted
@@ -10,11 +10,11 @@
 //! document can never disagree with the code.
 
 use cc_core::experiments;
-use cc_report::scenario::deps::{FieldInfo, FIELDS};
+use cc_report::scenario::fields::{Field, FIELDS};
 use cc_report::Scenario;
 
 /// The paper-default value of `field`, formatted for the reference table.
-fn default_of(defaults: &Scenario, field: &FieldInfo) -> String {
+fn default_of(defaults: &Scenario, field: &Field) -> String {
     let value = defaults
         .field_value(field.path)
         .expect("FIELDS lists only canonical paths");
@@ -27,7 +27,7 @@ fn default_of(defaults: &Scenario, field: &FieldInfo) -> String {
 
 /// The experiments whose declared dependency set covers `field` — the
 /// "what re-runs when I sweep this?" column.
-fn affected_by(field: &FieldInfo) -> String {
+fn affected_by(field: &Field) -> String {
     if !field.semantic {
         return if field.path == "grid.source" {
             "resolves into `grid.intensity` at set time".to_string()
@@ -78,7 +78,7 @@ pub fn scenario_reference() -> String {
          | Path | Aliases | Type | Dist? | Paper default | Validation | Experiments affected |\n\
          |---|---|---|---|---|---|---|\n",
     );
-    for field in &FIELDS {
+    for field in FIELDS {
         let aliases = if field.aliases.is_empty() {
             "—".to_string()
         } else {
@@ -94,7 +94,7 @@ pub fn scenario_reference() -> String {
             field.path,
             aliases,
             field.ty,
-            if field.distribution_eligible() {
+            if field.distribution_eligible {
                 "yes"
             } else {
                 "—"
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn reference_covers_every_field_alias_and_experiment() {
         let text = scenario_reference();
-        for field in &FIELDS {
+        for field in FIELDS {
             assert!(
                 text.contains(&format!("| `{}` |", field.path)),
                 "missing field {}",
@@ -269,9 +269,9 @@ mod tests {
         for flag in ["--samples", "--seed"] {
             assert!(text.contains(flag), "missing {flag}");
         }
-        // The Dist? column reflects FieldInfo::distribution_eligible.
-        for field in &FIELDS {
-            let marker = if field.distribution_eligible() {
+        // The Dist? column reflects Field::distribution_eligible.
+        for field in FIELDS {
+            let marker = if field.distribution_eligible {
                 "yes"
             } else {
                 "—"
@@ -288,10 +288,8 @@ mod tests {
 
     #[test]
     fn fleet_growth_affects_exactly_the_facility_experiments() {
-        let growth = FIELDS
-            .iter()
-            .find(|f| f.path == "fleet.growth")
-            .expect("fleet.growth is canonical");
+        let growth =
+            cc_report::scenario::fields::lookup("fleet.growth").expect("fleet.growth is canonical");
         assert_eq!(
             affected_by(growth),
             "fig02, fig11, ext-facility, ext-scheduler"

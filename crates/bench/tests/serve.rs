@@ -130,6 +130,12 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
             r#"{"op":"run","experiments":["fig10"],"sweep":["grid.intensity=800..10/100"]}"#,
             "invalid-sweep",
         ),
+        // Only distribution-eligible fields take a binding: the scenario
+        // name is a label, not a sample space.
+        (
+            r#"{"op":"run","experiments":["ext-facility"],"dists":["name ~ uniform(1,2000)"],"samples":10}"#,
+            "invalid-sweep",
+        ),
     ] {
         let responses = Daemon::request(&mut reader, &mut stream, line);
         assert_eq!(responses.len(), 1, "one error line per bad request");

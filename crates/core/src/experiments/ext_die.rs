@@ -119,7 +119,9 @@ mod tests {
     fn node_sweep_moves_the_per_die_scalar() {
         use cc_report::Scenario;
         let scalar_at = |node_nm: f64| {
-            let ctx = RunContext::new(Scenario::builder().fab_node_nm(node_nm).build());
+            let mut scenario = Scenario::paper_defaults();
+            scenario.fab.node_nm = node_nm;
+            let ctx = RunContext::new(scenario);
             ExtDieCarbon
                 .run(&ctx)
                 .find_scalar("featured-node-per-die-carbon")

@@ -320,7 +320,8 @@ mod tests {
         // the break-even year across 2017 so the comparison report prints a
         // crossover line.
         let be_at = |growth: f64| {
-            let scenario = Scenario::builder().fleet_growth(growth).build();
+            let mut scenario = Scenario::paper_defaults();
+            scenario.fleet.growth = growth;
             ExtFacility
                 .run(&RunContext::new(scenario))
                 .summary_scalar()
@@ -372,9 +373,9 @@ mod tests {
     #[test]
     fn start_year_shifts_the_time_axis_only() {
         let paper = simulate_from_context(&RunContext::paper());
-        let shifted = simulate_from_context(&RunContext::new(
-            Scenario::builder().fleet_start_year(2021).build(),
-        ));
+        let mut scenario = Scenario::paper_defaults();
+        scenario.fleet.start_year = 2021;
+        let shifted = simulate_from_context(&RunContext::new(scenario));
         assert_eq!(shifted[0].year, 2021);
         for (p, s) in paper.iter().zip(&shifted) {
             assert_eq!(s.year, p.year + 8);
@@ -389,11 +390,9 @@ mod tests {
         // Halving the window doubles the per-year construction charge, which
         // pulls the capex-overtake year earlier.
         let run = |years: f64| {
-            simulate_from_context(&RunContext::new(
-                Scenario::builder()
-                    .fleet_building_amortization_years(years)
-                    .build(),
-            ))
+            let mut scenario = Scenario::paper_defaults();
+            scenario.fleet.building_amortization_years = years;
+            simulate_from_context(&RunContext::new(scenario))
         };
         let fast = run(10.0);
         let paper = run(20.0);
@@ -406,9 +405,9 @@ mod tests {
     #[test]
     fn scale_multiplies_the_initial_fleet() {
         let paper = simulate_from_context(&RunContext::paper());
-        let scaled = simulate_from_context(&RunContext::new(
-            Scenario::builder().fleet_scale(2.0).build(),
-        ));
+        let mut scenario = Scenario::paper_defaults();
+        scenario.fleet.scale = 2.0;
+        let scaled = simulate_from_context(&RunContext::new(scenario));
         assert_eq!(scaled[0].servers, paper[0].servers * 2);
     }
 
@@ -522,7 +521,9 @@ mod tests {
         // The paper-default payback (~2014.6) lands inside the final year of
         // a two-year horizon: a genuine crossing, not a clamp — the note
         // must say so even though the value exceeds the last simulated year.
-        let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(2).build());
+        let mut scenario = Scenario::paper_defaults();
+        scenario.fleet.horizon_years = 2;
+        let ctx = RunContext::new(scenario);
         let out = ExtFacility.run(&ctx);
         let payback = out
             .find_scalar("cumulative-carbon-breakeven-year")
@@ -561,7 +562,9 @@ mod tests {
 
     #[test]
     fn horizon_controls_the_series_length() {
-        let ctx = RunContext::new(Scenario::builder().fleet_horizon_years(12).build());
+        let mut scenario = Scenario::paper_defaults();
+        scenario.fleet.horizon_years = 12;
+        let ctx = RunContext::new(scenario);
         let out = ExtFacility.run(&ctx);
         assert_eq!(out.tables[0].1.len(), 12);
         assert_eq!(out.find_series("facility-capex-carbon").unwrap().len(), 12);

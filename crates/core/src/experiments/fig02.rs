@@ -178,7 +178,8 @@ mod tests {
     #[test]
     fn fleet_scenario_redraws_the_left_panel() {
         let brown = {
-            let mut s = cc_report::Scenario::builder().name("brown").build();
+            let mut s = cc_report::Scenario::paper_defaults();
+            s.name = "brown".to_string();
             s.set("fleet.renewable_ramp", "0").unwrap();
             s
         };

@@ -198,12 +198,10 @@ mod tests {
     fn greener_grid_lengthens_breakeven() {
         use cc_report::Scenario;
         let paper = Fig10Breakeven.run(&RunContext::paper());
-        let wind = Fig10Breakeven.run(&RunContext::new(
-            Scenario::builder()
-                .name("wind")
-                .grid_intensity(11.0)
-                .build(),
-        ));
+        let mut wind = Scenario::paper_defaults();
+        wind.name = "wind".to_string();
+        wind.grid.intensity_g_per_kwh = 11.0;
+        let wind = Fig10Breakeven.run(&RunContext::new(wind));
         let p = paper.find_series("breakeven-days").unwrap();
         let w = wind.find_series("breakeven-days").unwrap();
         // On an 11 g/kWh grid every break-even horizon stretches ~35x.

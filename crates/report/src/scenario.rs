@@ -16,14 +16,19 @@
 //! (`grid.intensity`) for one-off command-line overrides.
 
 pub mod deps;
+pub mod fields;
 pub mod mc;
 pub mod sweep;
 pub mod trace;
 
-use crate::json::JsonValue;
 use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, TimeSpan};
-use deps::ReadTracker;
+use deps::{FieldSource, ReadTracker};
+use fields::MC_SEED;
+use fields::{Field, FieldSink, FIELDS};
+use fields::{DEVICE_LIFETIME, DEVICE_SOC_BUDGET_SHARE, FAB_NODE_NM, FAB_RENEWABLE_SHARE};
+use fields::{FAB_YIELD_FACTOR, FLEET_HORIZON_YEARS, FLEET_MIX, FLEET_SCALE, FLEET_SKU};
+use fields::{GRID_INTENSITY, GRID_REGIONS, GRID_RENEWABLE_FRACTION, GRID_SOURCE, MC_SAMPLES};
 use std::sync::{Arc, OnceLock};
 
 /// Carbon intensity assumed for renewable power purchases when blending
@@ -318,16 +323,15 @@ pub struct McParams {
 }
 
 /// A complete experiment scenario: every model parameter the paper fixed,
-/// made explicit.
+/// made explicit. Every field is declared once, in the [`fields`] table.
 ///
 /// ```
 /// use cc_report::Scenario;
 ///
-/// let wind = Scenario::builder()
-///     .name("wind-grid")
-///     .grid_intensity(11.0)
-///     .lifetime_years(4.0)
-///     .build();
+/// let mut wind = Scenario::paper_defaults();
+/// wind.name = "wind-grid".to_string();
+/// wind.grid.intensity_g_per_kwh = 11.0;
+/// wind.set("device.lifetime", "4").unwrap();
 /// let toml = wind.to_toml();
 /// assert_eq!(Scenario::from_toml(&toml).unwrap(), wind);
 /// ```
@@ -354,56 +358,6 @@ impl Default for Scenario {
 }
 
 impl Scenario {
-    /// The exact parameter values the paper's evaluation used.
-    #[must_use]
-    pub fn paper_defaults() -> Self {
-        Self {
-            name: "paper".to_string(),
-            grid: GridParams {
-                intensity_g_per_kwh: 380.0,
-                source: None,
-                renewable_fraction: 0.0,
-                regions: Vec::new(),
-            },
-            device: DeviceParams {
-                lifetime_years: 3.0,
-                soc_budget_share: 0.5,
-            },
-            fab: FabParams {
-                node_nm: 3.0,
-                yield_factor: 1.0,
-                renewable_share: 0.2,
-            },
-            fleet: FleetParams {
-                scale: 1.0,
-                sku: "web".to_string(),
-                mix: Vec::new(),
-                sites: Vec::new(),
-                deferrable: 0.2,
-                initial_servers: 60_000,
-                growth: 1.28,
-                pue: 1.10,
-                renewable_ramp: vec![0.05, 0.10, 0.20, 0.35, 0.60, 0.85, 1.0],
-                construction_kt: 150.0,
-                building_amortization_years: 20.0,
-                start_year: 2013,
-                horizon_years: 7,
-            },
-            mc: McParams {
-                seed: 10,
-                samples: 20_000,
-            },
-        }
-    }
-
-    /// Starts a builder seeded with the paper defaults.
-    #[must_use]
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder {
-            scenario: Self::paper_defaults(),
-        }
-    }
-
     /// Sets one field by its dotted path, parsing `value` as the field's
     /// type. This backs both the TOML reader and `--set key=value` command
     /// line overrides.
@@ -413,21 +367,7 @@ impl Scenario {
     /// [`ScenarioError::UnknownKey`] for an unrecognized path and
     /// [`ScenarioError::InvalidValue`] when `value` does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        if key == "name" {
-            self.name = unquote(value);
-            return Ok(());
-        }
-        // Dispatch on the section prefix so each arm borrows only its own
-        // section — the same per-section setters back [`ScenarioOverlay::set`],
-        // which clones just the touched section into its delta.
-        match key.split_once('.').map(|(section, _)| section) {
-            Some("grid") => set_grid_field(&mut self.grid, key, value),
-            Some("device") => set_device_field(&mut self.device, key, value),
-            Some("fab") => set_fab_field(&mut self.fab, key, value),
-            Some("fleet") => set_fleet_field(&mut self.fleet, key, value),
-            Some("mc") => set_mc_field(&mut self.mc, key, value),
-            _ => Err(ScenarioError::UnknownKey(key.to_string())),
-        }
+        set_path(self, key, value)
     }
 
     /// Parses a scenario from the TOML subset written by [`Self::to_toml`]:
@@ -491,222 +431,17 @@ impl Scenario {
         // source's Table II value regardless of line order (a file is a
         // declaration, not a sequence of overrides); the source then stays
         // an informational label.
-        if keys.iter().any(|k| k == "grid.source") {
-            if let Some(last_pinned) = keys
+        if keys.iter().any(|k| GRID_SOURCE.matches(k)) {
+            if let Some((key, value)) = keys
                 .iter()
                 .zip(&values)
                 .rev()
-                .find(|(k, _)| *k == "grid.intensity" || *k == "grid.intensity_g_per_kwh")
+                .find(|(k, _)| GRID_INTENSITY.matches(k))
             {
-                scenario.set(last_pinned.0, last_pinned.1)?;
+                scenario.set(key, value)?;
             }
         }
         Ok((scenario, keys))
-    }
-
-    /// Serializes the scenario to canonical TOML (parseable by
-    /// [`Self::from_toml`]).
-    #[must_use]
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("name = {}\n\n", quote(&self.name)));
-        out.push_str("[grid]\n");
-        out.push_str(&format!(
-            "intensity_g_per_kwh = {:?}\n",
-            self.grid.intensity_g_per_kwh
-        ));
-        if let Some(source) = &self.grid.source {
-            out.push_str(&format!("source = {}\n", quote(source)));
-        }
-        out.push_str(&format!(
-            "renewable_fraction = {:?}\n",
-            self.grid.renewable_fraction
-        ));
-        if !self.grid.regions.is_empty() {
-            out.push_str(&format!(
-                "regions = {}\n",
-                quote(&format_regions(&self.grid.regions))
-            ));
-        }
-        out.push_str("\n[device]\n");
-        out.push_str(&format!(
-            "lifetime_years = {:?}\n",
-            self.device.lifetime_years
-        ));
-        out.push_str(&format!(
-            "soc_budget_share = {:?}\n",
-            self.device.soc_budget_share
-        ));
-        out.push_str("\n[fab]\n");
-        out.push_str(&format!("node_nm = {:?}\n", self.fab.node_nm));
-        out.push_str(&format!("yield_factor = {:?}\n", self.fab.yield_factor));
-        out.push_str(&format!(
-            "renewable_share = {:?}\n",
-            self.fab.renewable_share
-        ));
-        out.push_str("\n[fleet]\n");
-        out.push_str(&format!("scale = {:?}\n", self.fleet.scale));
-        out.push_str(&format!("sku = {}\n", quote(&self.fleet.sku)));
-        if !self.fleet.mix.is_empty() {
-            out.push_str(&format!("mix = {}\n", quote(&format_mix(&self.fleet.mix))));
-        }
-        if !self.fleet.sites.is_empty() {
-            out.push_str(&format!(
-                "sites = {}\n",
-                quote(&format_sites(&self.fleet.sites))
-            ));
-        }
-        out.push_str(&format!("deferrable = {:?}\n", self.fleet.deferrable));
-        out.push_str(&format!(
-            "initial_servers = {}\n",
-            self.fleet.initial_servers
-        ));
-        out.push_str(&format!("growth = {:?}\n", self.fleet.growth));
-        out.push_str(&format!("pue = {:?}\n", self.fleet.pue));
-        out.push_str(&format!(
-            "renewable_ramp = {}\n",
-            quote(&format_ramp(&self.fleet.renewable_ramp))
-        ));
-        out.push_str(&format!(
-            "construction_kt = {:?}\n",
-            self.fleet.construction_kt
-        ));
-        out.push_str(&format!(
-            "building_amortization_years = {:?}\n",
-            self.fleet.building_amortization_years
-        ));
-        out.push_str(&format!("start_year = {}\n", self.fleet.start_year));
-        out.push_str(&format!("horizon_years = {}\n", self.fleet.horizon_years));
-        out.push_str("\n[mc]\n");
-        out.push_str(&format!("seed = {}\n", self.mc.seed));
-        out.push_str(&format!("samples = {}\n", self.mc.samples));
-        out
-    }
-
-    /// The scenario as a JSON object (for `--json` artifacts).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", JsonValue::from(self.name.as_str())),
-            (
-                "grid",
-                JsonValue::object([
-                    (
-                        "intensity_g_per_kwh",
-                        JsonValue::from(self.grid.intensity_g_per_kwh),
-                    ),
-                    (
-                        "source",
-                        self.grid
-                            .source
-                            .as_deref()
-                            .map_or(JsonValue::Null, JsonValue::from),
-                    ),
-                    (
-                        "renewable_fraction",
-                        JsonValue::from(self.grid.renewable_fraction),
-                    ),
-                    (
-                        "regions",
-                        JsonValue::array(self.grid.regions.iter().map(|r| {
-                            JsonValue::object([
-                                ("name", JsonValue::from(r.name.as_str())),
-                                (
-                                    "hours",
-                                    JsonValue::array(r.hours.iter().map(|&h| JsonValue::from(h))),
-                                ),
-                            ])
-                        })),
-                    ),
-                ]),
-            ),
-            (
-                "device",
-                JsonValue::object([
-                    (
-                        "lifetime_years",
-                        JsonValue::from(self.device.lifetime_years),
-                    ),
-                    (
-                        "soc_budget_share",
-                        JsonValue::from(self.device.soc_budget_share),
-                    ),
-                ]),
-            ),
-            (
-                "fab",
-                JsonValue::object([
-                    ("node_nm", JsonValue::from(self.fab.node_nm)),
-                    ("yield_factor", JsonValue::from(self.fab.yield_factor)),
-                    ("renewable_share", JsonValue::from(self.fab.renewable_share)),
-                ]),
-            ),
-            (
-                "fleet",
-                JsonValue::object([
-                    ("scale", JsonValue::from(self.fleet.scale)),
-                    ("sku", JsonValue::from(self.fleet.sku.as_str())),
-                    (
-                        "mix",
-                        JsonValue::object(
-                            self.fleet
-                                .mix
-                                .iter()
-                                .map(|(name, w)| (name.clone(), JsonValue::from(*w))),
-                        ),
-                    ),
-                    (
-                        "sites",
-                        JsonValue::array(self.fleet.sites.iter().map(|s| {
-                            JsonValue::object([
-                                ("name", JsonValue::from(s.name.as_str())),
-                                ("region", JsonValue::from(s.region.as_str())),
-                                ("weight", JsonValue::from(s.weight)),
-                            ])
-                        })),
-                    ),
-                    ("deferrable", JsonValue::from(self.fleet.deferrable)),
-                    (
-                        "initial_servers",
-                        JsonValue::Integer(self.fleet.initial_servers),
-                    ),
-                    ("growth", JsonValue::from(self.fleet.growth)),
-                    ("pue", JsonValue::from(self.fleet.pue)),
-                    (
-                        "renewable_ramp",
-                        JsonValue::array(
-                            self.fleet
-                                .renewable_ramp
-                                .iter()
-                                .map(|&v| JsonValue::from(v)),
-                        ),
-                    ),
-                    (
-                        "construction_kt",
-                        JsonValue::from(self.fleet.construction_kt),
-                    ),
-                    (
-                        "building_amortization_years",
-                        JsonValue::from(self.fleet.building_amortization_years),
-                    ),
-                    (
-                        "start_year",
-                        JsonValue::Integer(u64::from(self.fleet.start_year)),
-                    ),
-                    (
-                        "horizon_years",
-                        JsonValue::Integer(u64::from(self.fleet.horizon_years)),
-                    ),
-                ]),
-            ),
-            (
-                "mc",
-                JsonValue::object([
-                    ("seed", JsonValue::Integer(self.mc.seed)),
-                    ("samples", JsonValue::Integer(u64::from(self.mc.samples))),
-                ]),
-            ),
-        ])
     }
 
     /// Overwrites `grid.intensity_g_per_kwh` with the Table II intensity of
@@ -731,103 +466,23 @@ impl Scenario {
     /// [`ScenarioError::UnknownSource`] for a `grid.source` label naming no
     /// Table II energy source.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        validate_parts(&self.grid, &self.device, &self.fab, &self.fleet, &self.mc)
+        validate_source(self)
     }
 }
 
-/// [`Scenario::validate`] over bare sections, so copy-on-write overlays
-/// validate their resolved views without materializing a scenario.
-fn validate_parts(
-    grid: &GridParams,
-    device: &DeviceParams,
-    fab: &FabParams,
-    fleet: &FleetParams,
-    mc: &McParams,
-) -> Result<(), ScenarioError> {
-    if let Some(source) = &grid.source {
-        if lookup_energy_source(source).is_none() {
-            return Err(ScenarioError::UnknownSource(source.clone()));
+/// [`Scenario::validate`] over any section source, so copy-on-write
+/// overlays validate their resolved views without materializing a
+/// scenario: the cross-field checks first, then every row's bounds.
+fn validate_source(source: &(impl FieldSource + ?Sized)) -> Result<(), ScenarioError> {
+    if let Some(name) = &source.grid().source {
+        if lookup_energy_source(name).is_none() {
+            return Err(ScenarioError::UnknownSource(name.clone()));
         }
     }
-    validate_fleet_composition(fleet)?;
-    validate_grid_regions(grid)?;
-    validate_sites(grid, fleet)?;
-    let checks: [(&str, bool); 18] = [
-        (
-            "grid.intensity must be finite and positive",
-            grid.intensity_g_per_kwh.is_finite() && grid.intensity_g_per_kwh > 0.0,
-        ),
-        (
-            "grid.renewable_fraction must lie in [0, 1]",
-            (0.0..=1.0).contains(&grid.renewable_fraction),
-        ),
-        (
-            "device.lifetime_years must be finite and positive",
-            device.lifetime_years.is_finite() && device.lifetime_years > 0.0,
-        ),
-        (
-            "device.soc_budget_share must lie in (0, 1]",
-            device.soc_budget_share > 0.0 && device.soc_budget_share <= 1.0,
-        ),
-        ("fab.node_nm must be positive", fab.node_nm > 0.0),
-        (
-            "fab.yield_factor must be finite and positive",
-            fab.yield_factor.is_finite() && fab.yield_factor > 0.0,
-        ),
-        (
-            "fab.renewable_share must lie in [0, 1]",
-            (0.0..=1.0).contains(&fab.renewable_share),
-        ),
-        (
-            "fleet.scale must be finite and positive",
-            fleet.scale.is_finite() && fleet.scale > 0.0,
-        ),
-        (
-            "fleet.initial_servers must be at least 1",
-            fleet.initial_servers >= 1,
-        ),
-        (
-            "fleet.growth must be finite and positive",
-            fleet.growth.is_finite() && fleet.growth > 0.0,
-        ),
-        (
-            "fleet.pue must be finite and at least 1.0",
-            fleet.pue.is_finite() && fleet.pue >= 1.0,
-        ),
-        (
-            "fleet.renewable_ramp must be non-empty with every value in [0, 1]",
-            !fleet.renewable_ramp.is_empty()
-                && fleet.renewable_ramp.iter().all(|v| (0.0..=1.0).contains(v)),
-        ),
-        (
-            "fleet.deferrable must lie in [0, 1]",
-            fleet.deferrable.is_finite() && (0.0..=1.0).contains(&fleet.deferrable),
-        ),
-        (
-            "fleet.construction_kt must be finite and non-negative",
-            fleet.construction_kt.is_finite() && fleet.construction_kt >= 0.0,
-        ),
-        (
-            "fleet.building_amortization_years must be finite and positive",
-            fleet.building_amortization_years.is_finite()
-                && fleet.building_amortization_years > 0.0,
-        ),
-        (
-            "fleet.start_year must lie in 1900..=2100",
-            (1900..=2100).contains(&fleet.start_year),
-        ),
-        (
-            "fleet.horizon_years must lie in 1..=200",
-            (1..=200).contains(&fleet.horizon_years),
-        ),
-        ("mc.samples must be at least 1", mc.samples >= 1),
-    ];
-    for (message, ok) in checks {
-        if !ok {
-            return Err(ScenarioError::Invalid(message.to_string()));
-        }
-    }
-    Ok(())
+    validate_fleet_composition(source.fleet())?;
+    validate_grid_regions(source.grid())?;
+    validate_sites(source.grid(), source.fleet())?;
+    fields::check_bounds(source)
 }
 
 /// Checks `fleet.sku` and `fleet.mix` describe a deployable fleet:
@@ -842,12 +497,12 @@ fn validate_fleet_composition(fleet: &FleetParams) -> Result<(), ScenarioError> 
         ))
     };
     if !known(&fleet.sku) {
-        return Err(unknown("fleet.sku", &fleet.sku));
+        return Err(unknown(FLEET_SKU.path, &fleet.sku));
     }
     let mut sum = 0.0;
     for (i, (name, weight)) in fleet.mix.iter().enumerate() {
         if !known(name) {
-            return Err(unknown("fleet.mix", name));
+            return Err(unknown(FLEET_MIX.path, name));
         }
         if fleet.mix[..i].iter().any(|(prior, _)| prior == name) {
             return Err(ScenarioError::Invalid(format!(
@@ -946,211 +601,6 @@ fn validate_sites(grid: &GridParams, fleet: &FleetParams) -> Result<(), Scenario
     Ok(())
 }
 
-/// Fluent construction of a [`Scenario`], starting from the paper defaults.
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    scenario: Scenario,
-}
-
-impl ScenarioBuilder {
-    /// Sets the scenario name.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.scenario.name = name.into();
-        self
-    }
-
-    /// Sets the operational grid intensity (g CO₂e/kWh).
-    #[must_use]
-    pub fn grid_intensity(mut self, g_per_kwh: f64) -> Self {
-        self.scenario.grid.intensity_g_per_kwh = g_per_kwh;
-        self
-    }
-
-    /// Labels the operational energy source. A recognized Table II name also
-    /// resolves to its intensity (a later [`Self::grid_intensity`] call still
-    /// wins); an unrecognized name is kept and rejected by
-    /// [`Scenario::validate`].
-    #[must_use]
-    pub fn energy_source(mut self, source: impl Into<String>) -> Self {
-        self.scenario.grid.source = Some(source.into());
-        let _ = self.scenario.resolve_energy_source();
-        self
-    }
-
-    /// Sets the renewable-purchase fraction of operational energy.
-    #[must_use]
-    pub fn renewable_fraction(mut self, fraction: f64) -> Self {
-        self.scenario.grid.renewable_fraction = fraction;
-        self
-    }
-
-    /// Adds (or replaces) a named grid region with 24 hourly intensities
-    /// (g CO₂e/kWh).
-    #[must_use]
-    pub fn grid_region(mut self, name: impl Into<String>, hours: Vec<f64>) -> Self {
-        let name = name.into();
-        let regions = &mut self.scenario.grid.regions;
-        match regions.iter_mut().find(|r| r.name == name) {
-            Some(r) => r.hours = hours,
-            None => regions.push(RegionParams { name, hours }),
-        }
-        self
-    }
-
-    /// Sets the device lifetime in years.
-    #[must_use]
-    pub fn lifetime_years(mut self, years: f64) -> Self {
-        self.scenario.device.lifetime_years = years;
-        self
-    }
-
-    /// Sets the SoC share of device production carbon.
-    #[must_use]
-    pub fn soc_budget_share(mut self, share: f64) -> Self {
-        self.scenario.device.soc_budget_share = share;
-        self
-    }
-
-    /// Sets the featured fab process node (nm).
-    #[must_use]
-    pub fn fab_node_nm(mut self, nm: f64) -> Self {
-        self.scenario.fab.node_nm = nm;
-        self
-    }
-
-    /// Sets the defect-density multiplier.
-    #[must_use]
-    pub fn fab_yield_factor(mut self, factor: f64) -> Self {
-        self.scenario.fab.yield_factor = factor;
-        self
-    }
-
-    /// Sets the renewable share of fab electricity.
-    #[must_use]
-    pub fn fab_renewable_share(mut self, share: f64) -> Self {
-        self.scenario.fab.renewable_share = share;
-        self
-    }
-
-    /// Sets the fleet demand multiplier.
-    #[must_use]
-    pub fn fleet_scale(mut self, scale: f64) -> Self {
-        self.scenario.fleet.scale = scale;
-        self
-    }
-
-    /// Sets the server SKU of a pure fleet (one of
-    /// [`KNOWN_SKUS`]; unknown names are rejected by
-    /// [`Scenario::validate`]).
-    #[must_use]
-    pub fn fleet_sku(mut self, sku: impl Into<String>) -> Self {
-        self.scenario.fleet.sku = sku.into();
-        self
-    }
-
-    /// Sets the weighted fleet composition as `(sku, weight)` pairs
-    /// (weights must sum to 1; an empty mix means a pure
-    /// [`Self::fleet_sku`] fleet).
-    #[must_use]
-    pub fn fleet_mix(mut self, mix: Vec<(String, f64)>) -> Self {
-        self.scenario.fleet.mix = mix;
-        self
-    }
-
-    /// Sets the multi-site fleet composition (weights must sum to 1; an
-    /// empty list means the single `main@default` site).
-    #[must_use]
-    pub fn fleet_sites(mut self, sites: Vec<SiteParams>) -> Self {
-        self.scenario.fleet.sites = sites;
-        self
-    }
-
-    /// Sets the deferrable share of fleet IT energy.
-    #[must_use]
-    pub fn fleet_deferrable(mut self, share: f64) -> Self {
-        self.scenario.fleet.deferrable = share;
-        self
-    }
-
-    /// Sets the facility's first-year server count.
-    #[must_use]
-    pub fn fleet_initial_servers(mut self, servers: u64) -> Self {
-        self.scenario.fleet.initial_servers = servers;
-        self
-    }
-
-    /// Sets the annual server-fleet growth factor.
-    #[must_use]
-    pub fn fleet_growth(mut self, factor: f64) -> Self {
-        self.scenario.fleet.growth = factor;
-        self
-    }
-
-    /// Sets the facility power usage effectiveness.
-    #[must_use]
-    pub fn fleet_pue(mut self, pue: f64) -> Self {
-        self.scenario.fleet.pue = pue;
-        self
-    }
-
-    /// Sets the renewable coverage ramp (fraction per simulated year; the
-    /// last value holds thereafter).
-    #[must_use]
-    pub fn fleet_renewable_ramp(mut self, ramp: Vec<f64>) -> Self {
-        self.scenario.fleet.renewable_ramp = ramp;
-        self
-    }
-
-    /// Sets the facility construction embodied carbon in kt CO₂e.
-    #[must_use]
-    pub fn fleet_construction_kt(mut self, kt: f64) -> Self {
-        self.scenario.fleet.construction_kt = kt;
-        self
-    }
-
-    /// Sets the building-amortization window in years.
-    #[must_use]
-    pub fn fleet_building_amortization_years(mut self, years: f64) -> Self {
-        self.scenario.fleet.building_amortization_years = years;
-        self
-    }
-
-    /// Sets the facility's first simulated calendar year.
-    #[must_use]
-    pub fn fleet_start_year(mut self, year: u16) -> Self {
-        self.scenario.fleet.start_year = year;
-        self
-    }
-
-    /// Sets the simulated planning horizon in years.
-    #[must_use]
-    pub fn fleet_horizon_years(mut self, years: u32) -> Self {
-        self.scenario.fleet.horizon_years = years;
-        self
-    }
-
-    /// Sets the Monte-Carlo base seed.
-    #[must_use]
-    pub fn mc_seed(mut self, seed: u64) -> Self {
-        self.scenario.mc.seed = seed;
-        self
-    }
-
-    /// Sets the Monte-Carlo trial count.
-    #[must_use]
-    pub fn mc_samples(mut self, samples: u32) -> Self {
-        self.scenario.mc.samples = samples;
-        self
-    }
-
-    /// Finishes the builder.
-    #[must_use]
-    pub fn build(self) -> Scenario {
-        self.scenario
-    }
-}
-
 /// Errors from scenario parsing, overrides and validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
@@ -1207,21 +657,7 @@ fn f64_of(key: &str, value: &str) -> Result<f64, ScenarioError> {
     value
         .trim()
         .parse()
-        .map_err(|_| ScenarioError::InvalidValue {
-            key: key.to_string(),
-            value: value.to_string(),
-        })
-}
-
-/// Parses `value` as a `u64`, naming `key` on failure.
-fn u64_of(key: &str, value: &str) -> Result<u64, ScenarioError> {
-    value
-        .trim()
-        .parse()
-        .map_err(|_| ScenarioError::InvalidValue {
-            key: key.to_string(),
-            value: value.to_string(),
-        })
+        .map_err(|_| fields::invalid(key, value))
 }
 
 /// [`Scenario::resolve_energy_source`] over a bare grid section, so
@@ -1237,292 +673,63 @@ fn resolve_energy_source_in(grid: &mut GridParams) -> Result<(), ScenarioError> 
     Ok(())
 }
 
-/// The `grid.*` arm of [`Scenario::set`], over the bare section.
-fn set_grid_field(grid: &mut GridParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "grid.intensity" | "grid.intensity_g_per_kwh" => {
-            grid.intensity_g_per_kwh = f64_of(key, value)?;
-        }
-        "grid.source" => {
-            let v = unquote(value);
-            grid.source = if v.is_empty() { None } else { Some(v) };
-            // Resolving here (not in the CLI) means library users setting
-            // `grid.source = "wind"` get the Table II intensity too. A
-            // later `set("grid.intensity", …)` still wins: overrides
-            // apply strictly in call order.
-            resolve_energy_source_in(grid)?;
-        }
-        "grid.renewable_fraction" => grid.renewable_fraction = f64_of(key, value)?,
-        "grid.regions" => grid.regions = parse_regions(key, value)?,
-        _ if key.starts_with("grid.region.") && key.ends_with(".trace") => {
-            let name = key["grid.region.".len()..key.len() - ".trace".len()].trim();
-            if name.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            let hours = trace::parse_trace_spec(key, value)?;
-            match grid.regions.iter_mut().find(|r| r.name == name) {
-                Some(region) => region.hours = hours,
-                None => grid.regions.push(RegionParams {
-                    name: name.to_string(),
-                    hours,
-                }),
-            }
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `device.*` arm of [`Scenario::set`], over the bare section.
-fn set_device_field(
-    device: &mut DeviceParams,
-    key: &str,
-    value: &str,
-) -> Result<(), ScenarioError> {
-    match key {
-        "device.lifetime" | "device.lifetime_years" => {
-            device.lifetime_years = f64_of(key, value)?;
-        }
-        "device.soc_budget_share" => device.soc_budget_share = f64_of(key, value)?,
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `fab.*` arm of [`Scenario::set`], over the bare section.
-fn set_fab_field(fab: &mut FabParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "fab.node" | "fab.node_nm" => fab.node_nm = f64_of(key, value)?,
-        "fab.yield_factor" => fab.yield_factor = f64_of(key, value)?,
-        "fab.renewable_share" => fab.renewable_share = f64_of(key, value)?,
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `fleet.*` arm of [`Scenario::set`], over the bare section.
-fn set_fleet_field(fleet: &mut FleetParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "fleet.scale" => fleet.scale = f64_of(key, value)?,
-        "fleet.sku" => fleet.sku = unquote(value),
-        "fleet.mix" => fleet.mix = parse_mix(key, value)?,
-        _ if key.starts_with("fleet.mix[") && key.ends_with(']') => {
-            let sku = key["fleet.mix[".len()..key.len() - 1].trim();
-            if sku.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            fleet.set_mix_weight(sku, f64_of(key, value)?)?;
-        }
-        "fleet.sites" => fleet.sites = parse_sites(key, value)?,
-        _ if key.starts_with("fleet.sites[") => {
-            let rest = &key["fleet.sites[".len()..];
-            let (name, field) = rest
-                .split_once(']')
-                .ok_or_else(|| ScenarioError::UnknownKey(key.to_string()))?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(ScenarioError::UnknownKey(key.to_string()));
-            }
-            match field {
-                "" | ".weight" => fleet.set_site_weight(name, f64_of(key, value)?)?,
-                ".region" => fleet.set_site_region(name, unquote(value).trim()),
-                _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-            }
-        }
-        "fleet.deferrable" => fleet.deferrable = f64_of(key, value)?,
-        "fleet.initial_servers" => fleet.initial_servers = u64_of(key, value)?,
-        "fleet.growth" => fleet.growth = f64_of(key, value)?,
-        "fleet.pue" => fleet.pue = f64_of(key, value)?,
-        "fleet.renewable_ramp" | "fleet.ramp" => {
-            fleet.renewable_ramp = parse_ramp(key, value)?;
-        }
-        "fleet.construction_kt" | "fleet.construction" => {
-            fleet.construction_kt = f64_of(key, value)?;
-        }
-        "fleet.building_amortization_years" | "fleet.building_amortization" => {
-            fleet.building_amortization_years = f64_of(key, value)?;
-        }
-        "fleet.start_year" => {
-            fleet.start_year =
-                u16::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        "fleet.horizon_years" | "fleet.horizon" => {
-            fleet.horizon_years =
-                u32::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// The `mc.*` arm of [`Scenario::set`], over the bare section.
-fn set_mc_field(mc: &mut McParams, key: &str, value: &str) -> Result<(), ScenarioError> {
-    match key {
-        "mc.seed" => mc.seed = u64_of(key, value)?,
-        "mc.samples" => {
-            mc.samples =
-                u32::try_from(u64_of(key, value)?).map_err(|_| ScenarioError::InvalidValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                })?;
-        }
-        _ => return Err(ScenarioError::UnknownKey(key.to_string())),
-    }
-    Ok(())
-}
-
-/// Parses a renewable-ramp value: comma-separated coverage fractions,
-/// optionally TOML-quoted (`"0.05,0.1,1.0"`). Range checking happens in
-/// [`Scenario::validate`]; this only requires every element to be a number.
-fn parse_ramp(key: &str, value: &str) -> Result<Vec<f64>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
+/// [`Scenario::set`] / [`ScenarioOverlay::set`]: a table row when `key`
+/// names one (canonically or by alias), otherwise a compound path.
+fn set_path(sink: &mut dyn FieldSink, key: &str, value: &str) -> Result<(), ScenarioError> {
+    let Some(field) = fields::lookup(key) else {
+        return set_compound(sink, key, value);
     };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
+    field.set(sink, key, value)?;
+    if std::ptr::eq(field, &GRID_SOURCE) {
+        // Resolving here (not in the CLI) means library users setting
+        // `grid.source = "wind"` get the Table II intensity too. A later
+        // `grid.intensity` assignment still wins: overrides apply strictly
+        // in call order.
+        resolve_energy_source_in(sink.grid())?;
     }
-    text.split(',')
-        .map(|part| part.trim().parse::<f64>().map_err(|_| invalid()))
-        .collect()
+    Ok(())
 }
 
-/// Parses a fleet-mix value: comma-separated `sku:weight` pairs, optionally
-/// TOML-quoted (`"web:0.7,ai-training:0.3"`). An empty string is the empty
-/// mix (a pure `fleet.sku` fleet). SKU-name and weight-sum checking happens
-/// in [`Scenario::validate`]; this only requires the `name:number` shape.
-fn parse_mix(key: &str, value: &str) -> Result<Vec<(String, f64)>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
+/// The compound paths no table row covers: `grid.region.<name>.trace`,
+/// `fleet.mix[<sku>]` and `fleet.sites[<site>]` (`.weight` / `.region`).
+fn set_compound(sink: &mut dyn FieldSink, key: &str, value: &str) -> Result<(), ScenarioError> {
+    let unknown = || ScenarioError::UnknownKey(key.to_string());
+    let bracket = |prefix: &str| {
+        let (name, rest) = key.strip_prefix(prefix)?.split_once(']')?;
+        Some((name.trim(), rest)).filter(|(name, _)| !name.is_empty())
     };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(',')
-        .map(|part| {
-            let (name, weight) = part.split_once(':').ok_or_else(invalid)?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(invalid());
-            }
-            let weight: f64 = weight.trim().parse().map_err(|_| invalid())?;
-            Ok((name.to_string(), weight))
-        })
-        .collect()
-}
-
-/// Canonical text form of a fleet mix, parseable by [`parse_mix`].
-fn format_mix(mix: &[(String, f64)]) -> String {
-    mix.iter()
-        .map(|(name, w)| format!("{name}:{w:?}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Parses a `grid.regions` value: semicolon-separated `name:trace-spec`
-/// entries, optionally TOML-quoted. Each spec goes through
-/// [`trace::parse_trace_spec`], so the canonical resolved form
-/// (`name:h0,…,h23;…`) and the generator shorthands both parse. An empty
-/// string is the empty region list.
-fn parse_regions(key: &str, value: &str) -> Result<Vec<RegionParams>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(';')
-        .map(|part| {
-            let (name, spec) = part.split_once(':').ok_or_else(invalid)?;
-            let name = name.trim();
-            if name.is_empty() {
-                return Err(invalid());
-            }
-            Ok(RegionParams {
+    if let Some(name) = key
+        .strip_prefix("grid.region.")
+        .and_then(|rest| rest.strip_suffix(".trace"))
+    {
+        let name = name.trim();
+        if name.is_empty() {
+            return Err(unknown());
+        }
+        let hours = trace::parse_trace_spec(key, value)?;
+        let regions = &mut sink.grid().regions;
+        match regions.iter_mut().find(|r| r.name == name) {
+            Some(region) => region.hours = hours,
+            None => regions.push(RegionParams {
                 name: name.to_string(),
-                hours: trace::parse_trace_spec(key, spec)?,
-            })
-        })
-        .collect()
-}
-
-/// Canonical text form of the grid regions, parseable by [`parse_regions`].
-fn format_regions(regions: &[RegionParams]) -> String {
-    regions
-        .iter()
-        .map(|r| {
-            let hours = r
-                .hours
-                .iter()
-                .map(|h| format!("{h:?}"))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{}:{hours}", r.name)
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// Parses a `fleet.sites` value: comma-separated `name@region:weight`
-/// triples, optionally TOML-quoted. An empty string is the empty site list
-/// (the single `main@default` site). Region existence and weight-sum
-/// checking happens in [`Scenario::validate`].
-fn parse_sites(key: &str, value: &str) -> Result<Vec<SiteParams>, ScenarioError> {
-    let invalid = || ScenarioError::InvalidValue {
-        key: key.to_string(),
-        value: value.to_string(),
-    };
-    let text = unquote(value);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(Vec::new());
+                hours,
+            }),
+        }
+    } else if key.starts_with("fleet.mix[") {
+        let (sku, "") = bracket("fleet.mix[").ok_or_else(unknown)? else {
+            return Err(unknown());
+        };
+        sink.fleet().set_mix_weight(sku, f64_of(key, value)?)?;
+    } else if key.starts_with("fleet.sites[") {
+        match bracket("fleet.sites[").ok_or_else(unknown)? {
+            (site, "" | ".weight") => sink.fleet().set_site_weight(site, f64_of(key, value)?)?,
+            (site, ".region") => sink.fleet().set_site_region(site, unquote(value).trim()),
+            _ => return Err(unknown()),
+        }
+    } else {
+        return Err(unknown());
     }
-    text.split(',')
-        .map(|part| {
-            let (name, rest) = part.split_once('@').ok_or_else(invalid)?;
-            let (region, weight) = rest.rsplit_once(':').ok_or_else(invalid)?;
-            let (name, region) = (name.trim(), region.trim());
-            if name.is_empty() || region.is_empty() {
-                return Err(invalid());
-            }
-            Ok(SiteParams {
-                name: name.to_string(),
-                region: region.to_string(),
-                weight: weight.trim().parse().map_err(|_| invalid())?,
-            })
-        })
-        .collect()
-}
-
-/// Canonical text form of the fleet sites, parseable by [`parse_sites`].
-fn format_sites(sites: &[SiteParams]) -> String {
-    sites
-        .iter()
-        .map(|s| format!("{}@{}:{:?}", s.name, s.region, s.weight))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Canonical text form of a renewable ramp, parseable by [`parse_ramp`].
-fn format_ramp(ramp: &[f64]) -> String {
-    ramp.iter()
-        .map(|v| format!("{v:?}"))
-        .collect::<Vec<_>>()
-        .join(",")
+    Ok(())
 }
 
 /// Finds the Table II energy source matching `name`, case-insensitively.
@@ -1627,86 +834,11 @@ pub struct ScenarioOverlay {
     mc: Option<McParams>,
 }
 
-impl PartialEq for ScenarioOverlay {
-    /// Overlays compare by *resolved* values, not delta shape: a pristine
-    /// overlay equals one whose delta restates the base verbatim.
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-            && self.grid() == other.grid()
-            && self.device() == other.device()
-            && self.fab() == other.fab()
-            && self.fleet() == other.fleet()
-            && self.mc() == other.mc()
-    }
-}
-
 impl ScenarioOverlay {
-    /// A pristine overlay: every read resolves to `base`.
-    #[must_use]
-    pub fn new(base: Arc<Scenario>) -> Self {
-        Self {
-            base,
-            name: None,
-            grid: None,
-            device: None,
-            fab: None,
-            fleet: None,
-            mc: None,
-        }
-    }
-
     /// The shared base scenario the overlay resolves against.
     #[must_use]
     pub fn base(&self) -> &Arc<Scenario> {
         &self.base
-    }
-
-    /// Whether the overlay carries no delta at all, so every read — and a
-    /// [`Self::materialize`] — is exactly the base.
-    #[must_use]
-    pub fn is_pristine(&self) -> bool {
-        self.name.is_none()
-            && self.grid.is_none()
-            && self.device.is_none()
-            && self.fab.is_none()
-            && self.fleet.is_none()
-            && self.mc.is_none()
-    }
-
-    /// The resolved scenario name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.name.as_deref().unwrap_or(&self.base.name)
-    }
-
-    /// The resolved operational-energy parameters.
-    #[must_use]
-    pub fn grid(&self) -> &GridParams {
-        self.grid.as_ref().unwrap_or(&self.base.grid)
-    }
-
-    /// The resolved device parameters.
-    #[must_use]
-    pub fn device(&self) -> &DeviceParams {
-        self.device.as_ref().unwrap_or(&self.base.device)
-    }
-
-    /// The resolved fab parameters.
-    #[must_use]
-    pub fn fab(&self) -> &FabParams {
-        self.fab.as_ref().unwrap_or(&self.base.fab)
-    }
-
-    /// The resolved fleet parameters.
-    #[must_use]
-    pub fn fleet(&self) -> &FleetParams {
-        self.fleet.as_ref().unwrap_or(&self.base.fleet)
-    }
-
-    /// The resolved Monte-Carlo parameters.
-    #[must_use]
-    pub fn mc(&self) -> &McParams {
-        self.mc.as_ref().unwrap_or(&self.base.mc)
     }
 
     /// Renames the point (labeling only — the name is never fingerprinted).
@@ -1723,52 +855,7 @@ impl ScenarioOverlay {
     /// an unrecognized path, [`ScenarioError::InvalidValue`] when `value`
     /// does not parse.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ScenarioError> {
-        if key == "name" {
-            self.name = Some(unquote(value));
-            return Ok(());
-        }
-        let base = &self.base;
-        match key.split_once('.').map(|(section, _)| section) {
-            Some("grid") => set_grid_field(
-                self.grid.get_or_insert_with(|| base.grid.clone()),
-                key,
-                value,
-            ),
-            Some("device") => set_device_field(
-                self.device.get_or_insert_with(|| base.device.clone()),
-                key,
-                value,
-            ),
-            Some("fab") => {
-                set_fab_field(self.fab.get_or_insert_with(|| base.fab.clone()), key, value)
-            }
-            Some("fleet") => set_fleet_field(
-                self.fleet.get_or_insert_with(|| base.fleet.clone()),
-                key,
-                value,
-            ),
-            Some("mc") => set_mc_field(self.mc.get_or_insert_with(|| base.mc.clone()), key, value),
-            _ => Err(ScenarioError::UnknownKey(key.to_string())),
-        }
-    }
-
-    /// Clones the resolved view out into an owned [`Scenario`].
-    #[must_use]
-    pub fn materialize(&self) -> Scenario {
-        Scenario {
-            name: self.name.clone().unwrap_or_else(|| self.base.name.clone()),
-            grid: self.grid.clone().unwrap_or_else(|| self.base.grid.clone()),
-            device: self
-                .device
-                .clone()
-                .unwrap_or_else(|| self.base.device.clone()),
-            fab: self.fab.clone().unwrap_or_else(|| self.base.fab.clone()),
-            fleet: self
-                .fleet
-                .clone()
-                .unwrap_or_else(|| self.base.fleet.clone()),
-            mc: self.mc.clone().unwrap_or_else(|| self.base.mc.clone()),
-        }
+        set_path(self, key, value)
     }
 
     /// [`Scenario::validate`] over the resolved sections.
@@ -1777,36 +864,92 @@ impl ScenarioOverlay {
     ///
     /// The same [`Scenario::validate`] errors for unphysical parameters.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        validate_parts(
-            self.grid(),
-            self.device(),
-            self.fab(),
-            self.fleet(),
-            self.mc(),
-        )
+        validate_source(self)
     }
 }
 
-impl deps::FieldSource for ScenarioOverlay {
-    fn name(&self) -> &str {
-        ScenarioOverlay::name(self)
-    }
-    fn grid(&self) -> &GridParams {
-        ScenarioOverlay::grid(self)
-    }
-    fn device(&self) -> &DeviceParams {
-        ScenarioOverlay::device(self)
-    }
-    fn fab(&self) -> &FabParams {
-        ScenarioOverlay::fab(self)
-    }
-    fn fleet(&self) -> &FleetParams {
-        ScenarioOverlay::fleet(self)
-    }
-    fn mc(&self) -> &McParams {
-        ScenarioOverlay::mc(self)
-    }
+/// The scenario sections, listed once: the overlay's delta plumbing plus
+/// section read access ([`FieldSource`]) and write access ([`FieldSink`],
+/// which an overlay serves by cloning the touched section into its delta)
+/// for both [`Scenario`] and [`ScenarioOverlay`]. `name` reads as `str`.
+macro_rules! sections {
+    (@read $Sec:ty) => { $Sec };
+    (@read $Sec:ty, $Read:ty) => { $Read };
+    ($($sec:ident: $Sec:ty $(as $Read:ty)?),+) => {
+        impl ScenarioOverlay {
+            /// A pristine overlay: every read resolves to `base`.
+            #[must_use]
+            pub fn new(base: Arc<Scenario>) -> Self {
+                Self { base, $($sec: None),+ }
+            }
+
+            /// Whether the overlay carries no delta at all, so every read —
+            /// and a [`Self::materialize`] — is exactly the base.
+            #[must_use]
+            pub fn is_pristine(&self) -> bool {
+                true $(&& self.$sec.is_none())+
+            }
+
+            /// Clones the resolved view out into an owned [`Scenario`].
+            #[must_use]
+            pub fn materialize(&self) -> Scenario {
+                Scenario {
+                    $($sec: self.$sec.clone().unwrap_or_else(|| self.base.$sec.clone())),+
+                }
+            }
+
+            $(
+                #[doc = concat!("The resolved `", stringify!($sec), "` section.")]
+                #[must_use]
+                pub fn $sec(&self) -> &sections!(@read $Sec $(, $Read)?) {
+                    self.$sec.as_ref().unwrap_or(&self.base.$sec)
+                }
+            )+
+        }
+
+        impl PartialEq for ScenarioOverlay {
+            /// Overlays compare by *resolved* values, not delta shape: a
+            /// pristine overlay equals one whose delta restates the base
+            /// verbatim.
+            fn eq(&self, other: &Self) -> bool {
+                true $(&& self.$sec() == other.$sec())+
+            }
+        }
+
+        impl FieldSource for Scenario {
+            $(fn $sec(&self) -> &sections!(@read $Sec $(, $Read)?) {
+                &self.$sec
+            })+
+        }
+
+        impl FieldSource for ScenarioOverlay {
+            $(fn $sec(&self) -> &sections!(@read $Sec $(, $Read)?) {
+                ScenarioOverlay::$sec(self)
+            })+
+        }
+
+        impl FieldSink for Scenario {
+            $(fn $sec(&mut self) -> &mut $Sec {
+                &mut self.$sec
+            })+
+        }
+
+        impl FieldSink for ScenarioOverlay {
+            $(fn $sec(&mut self) -> &mut $Sec {
+                self.$sec.get_or_insert_with(|| self.base.$sec.clone())
+            })+
+        }
+    };
 }
+
+sections!(
+    name: String as str,
+    grid: GridParams,
+    device: DeviceParams,
+    fab: FabParams,
+    fleet: FleetParams,
+    mc: McParams
+);
 
 /// The context every experiment runs in: one scenario plus typed accessors
 /// for the quantities the models consume.
@@ -1855,16 +998,16 @@ impl PartialEq for RunContext {
 
 impl RunContext {
     /// Records one canonical field read (no-op without a tracker).
-    fn record(&self, field: &'static str) {
+    fn record(&self, field: &'static Field) {
         if let Some(tracker) = &self.tracker {
-            tracker.record(field);
+            tracker.record(field.path);
         }
     }
 
     /// Records a read of every semantic field (raw scenario access).
     fn record_all(&self) {
         if let Some(tracker) = &self.tracker {
-            for field in deps::FIELDS.iter().filter(|f| f.semantic) {
+            for field in FIELDS.iter().filter(|f| f.semantic) {
                 tracker.record(field.path);
             }
         }
@@ -1970,8 +1113,8 @@ impl RunContext {
     /// grid-labeled output stays cacheable across non-grid sweep axes.
     #[must_use]
     pub fn grid_is_paper(&self) -> bool {
-        self.record("grid.intensity");
-        self.record("grid.renewable_fraction");
+        self.record(&GRID_INTENSITY);
+        self.record(&GRID_RENEWABLE_FRACTION);
         let paper = Scenario::paper_defaults();
         let grid = self.overlay.grid();
         grid.intensity_g_per_kwh == paper.grid.intensity_g_per_kwh
@@ -1991,7 +1134,7 @@ impl RunContext {
     /// the unblended intensity and ignore the renewable fraction.
     #[must_use]
     pub fn grid_intensity_is_paper(&self) -> bool {
-        self.record("grid.intensity");
+        self.record(&GRID_INTENSITY);
         self.overlay.grid().intensity_g_per_kwh
             == Scenario::paper_defaults().grid.intensity_g_per_kwh
     }
@@ -1999,7 +1142,7 @@ impl RunContext {
     /// Records every `fleet.*` semantic field, derived from the canonical
     /// registry so a new fleet field cannot leave this list behind.
     fn record_fleet(&self) {
-        for field in deps::expand(&[deps::ScenarioPath::of("fleet.*")]) {
+        for field in deps::expand_fields(&[deps::ScenarioPath::of("fleet.*")]) {
             self.record(field);
         }
     }
@@ -2007,7 +1150,7 @@ impl RunContext {
     /// The raw operational grid intensity.
     #[must_use]
     pub fn grid_intensity(&self) -> CarbonIntensity {
-        self.record("grid.intensity");
+        self.record(&GRID_INTENSITY);
         CarbonIntensity::from_g_per_kwh(self.overlay.grid().intensity_g_per_kwh)
     }
 
@@ -2016,7 +1159,7 @@ impl RunContext {
     /// ([`trace::builtin_region_trace`]).
     #[must_use]
     pub fn grid_regions(&self) -> &[RegionParams] {
-        self.record("grid.regions");
+        self.record(&GRID_REGIONS);
         &self.overlay.grid().regions
     }
 
@@ -2024,7 +1167,7 @@ impl RunContext {
     /// [`RENEWABLE_PPA_G_PER_KWH`].
     #[must_use]
     pub fn effective_grid_intensity(&self) -> CarbonIntensity {
-        self.record("grid.renewable_fraction");
+        self.record(&GRID_RENEWABLE_FRACTION);
         self.grid_intensity().blend(
             CarbonIntensity::from_g_per_kwh(RENEWABLE_PPA_G_PER_KWH),
             1.0 - self.overlay.grid().renewable_fraction,
@@ -2034,42 +1177,42 @@ impl RunContext {
     /// The assumed device lifetime.
     #[must_use]
     pub fn device_lifetime(&self) -> TimeSpan {
-        self.record("device.lifetime");
+        self.record(&DEVICE_LIFETIME);
         TimeSpan::from_years(self.overlay.device().lifetime_years)
     }
 
     /// The SoC share of device production carbon.
     #[must_use]
     pub fn soc_budget_share(&self) -> f64 {
-        self.record("device.soc_budget_share");
+        self.record(&DEVICE_SOC_BUDGET_SHARE);
         self.overlay.device().soc_budget_share
     }
 
     /// The featured fab node in nanometres.
     #[must_use]
     pub fn fab_node_nm(&self) -> f64 {
-        self.record("fab.node_nm");
+        self.record(&FAB_NODE_NM);
         self.overlay.fab().node_nm
     }
 
     /// The defect-density multiplier.
     #[must_use]
     pub fn fab_yield_factor(&self) -> f64 {
-        self.record("fab.yield_factor");
+        self.record(&FAB_YIELD_FACTOR);
         self.overlay.fab().yield_factor
     }
 
     /// The renewable share of fab electricity.
     #[must_use]
     pub fn fab_renewable_share(&self) -> f64 {
-        self.record("fab.renewable_share");
+        self.record(&FAB_RENEWABLE_SHARE);
         self.overlay.fab().renewable_share
     }
 
     /// The fleet demand multiplier.
     #[must_use]
     pub fn fleet_scale(&self) -> f64 {
-        self.record("fleet.scale");
+        self.record(&FLEET_SCALE);
         self.overlay.fleet().scale
     }
 
@@ -2084,21 +1227,21 @@ impl RunContext {
     /// The facility planning horizon in whole years.
     #[must_use]
     pub fn fleet_horizon_years(&self) -> usize {
-        self.record("fleet.horizon_years");
+        self.record(&FLEET_HORIZON_YEARS);
         self.overlay.fleet().horizon_years as usize
     }
 
     /// The Monte-Carlo base seed.
     #[must_use]
     pub fn mc_seed(&self) -> u64 {
-        self.record("mc.seed");
+        self.record(&MC_SEED);
         self.overlay.mc().seed
     }
 
     /// The Monte-Carlo trial count.
     #[must_use]
     pub fn mc_samples(&self) -> u32 {
-        self.record("mc.samples");
+        self.record(&MC_SAMPLES);
         self.overlay.mc().samples
     }
 }
@@ -2118,17 +1261,16 @@ mod tests {
 
     #[test]
     fn toml_round_trips_custom_scenario() {
-        let s = Scenario::builder()
-            .name("green-fab")
-            .grid_intensity(50.0)
-            .energy_source("hydropower")
-            .renewable_fraction(0.5)
-            .lifetime_years(4.5)
-            .fab_renewable_share(0.9)
-            .fleet_scale(10.0)
-            .mc_seed(99)
-            .mc_samples(5_000)
-            .build();
+        let mut s = Scenario::paper_defaults();
+        s.name = "green-fab".to_string();
+        s.grid.intensity_g_per_kwh = 50.0;
+        s.set("grid.source", "hydropower").unwrap();
+        s.grid.renewable_fraction = 0.5;
+        s.device.lifetime_years = 4.5;
+        s.fab.renewable_share = 0.9;
+        s.fleet.scale = 10.0;
+        s.mc.seed = 99;
+        s.mc.samples = 5_000;
         assert_eq!(Scenario::from_toml(&s.to_toml()).unwrap(), s);
     }
 
@@ -2354,20 +1496,29 @@ mod tests {
         s = Scenario::paper_defaults();
         s.grid.intensity_g_per_kwh = f64::NAN;
         assert!(s.validate().is_err());
+        // Infinite values are unphysical too, including for the node size
+        // (whose bound once read only `> 0`).
+        for inf in ["inf", "-inf", "infinity"] {
+            s = Scenario::paper_defaults();
+            s.set("fab.node_nm", inf).unwrap();
+            assert!(
+                matches!(s.validate(), Err(ScenarioError::Invalid(m)) if m.contains("fab.node_nm")),
+                "fab.node_nm = {inf} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn fleet_params_round_trip_and_reject_unphysical_values() {
         // The ramp serializes as a quoted list and round-trips through TOML.
-        let s = Scenario::builder()
-            .name("capacity")
-            .fleet_initial_servers(5_000)
-            .fleet_growth(1.18)
-            .fleet_pue(1.4)
-            .fleet_renewable_ramp(vec![0.0, 0.25, 0.5, 1.0])
-            .fleet_construction_kt(42.5)
-            .fleet_horizon_years(12)
-            .build();
+        let mut s = Scenario::paper_defaults();
+        s.name = "capacity".to_string();
+        s.fleet.initial_servers = 5_000;
+        s.fleet.growth = 1.18;
+        s.fleet.pue = 1.4;
+        s.fleet.renewable_ramp = vec![0.0, 0.25, 0.5, 1.0];
+        s.fleet.construction_kt = 42.5;
+        s.fleet.horizon_years = 12;
         s.validate().unwrap();
         let back = Scenario::from_toml(&s.to_toml()).unwrap();
         assert_eq!(back, s);
@@ -2413,13 +1564,9 @@ mod tests {
 
     #[test]
     fn fleet_mix_round_trips_through_toml_and_set() {
-        let s = Scenario::builder()
-            .name("ai-buildout")
-            .fleet_mix(vec![
-                ("web".to_string(), 0.7),
-                ("ai-training".to_string(), 0.3),
-            ])
-            .build();
+        let mut s = Scenario::paper_defaults();
+        s.name = "ai-buildout".to_string();
+        s.fleet.mix = vec![("web".to_string(), 0.7), ("ai-training".to_string(), 0.3)];
         s.validate().unwrap();
         let back = Scenario::from_toml(&s.to_toml()).unwrap();
         assert_eq!(back, s);
@@ -2585,7 +1732,9 @@ mod tests {
         assert_eq!(ctx.effective_grid_intensity(), ctx.grid_intensity());
         assert_eq!(ctx.device_lifetime().as_days().round(), 1096.0);
 
-        let half_green = RunContext::new(Scenario::builder().renewable_fraction(0.5).build());
+        let mut half_green = Scenario::paper_defaults();
+        half_green.grid.renewable_fraction = 0.5;
+        let half_green = RunContext::new(half_green);
         assert!(!half_green.is_paper());
         let blended = half_green.effective_grid_intensity().as_g_per_kwh();
         assert!((blended - (0.5 * 380.0 + 0.5 * 11.0)).abs() < 1e-12);
@@ -2600,7 +1749,8 @@ mod tests {
             "has # hash",
             "multi\nline\tname",
         ] {
-            let s = Scenario::builder().name(name).build();
+            let mut s = Scenario::paper_defaults();
+            s.name = name.to_string();
             let back = Scenario::from_toml(&s.to_toml()).unwrap();
             assert_eq!(back.name, name, "emitted: {}", s.to_toml());
             assert_eq!(back, s);
@@ -2610,7 +1760,8 @@ mod tests {
     #[test]
     fn large_mc_seeds_serialize_losslessly() {
         let seed = (1u64 << 53) + 1;
-        let s = Scenario::builder().mc_seed(seed).build();
+        let mut s = Scenario::paper_defaults();
+        s.mc.seed = seed;
         assert!(s.to_json().render().contains(&format!("\"seed\":{seed}")));
         assert_eq!(Scenario::from_toml(&s.to_toml()).unwrap().mc.seed, seed);
     }
@@ -2629,8 +1780,9 @@ mod tests {
         let err = s.set("grid.source", "unobtainium").unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownSource(_)));
         assert!(err.to_string().contains("wind"));
-        // The builder resolves too.
-        let hydro = Scenario::builder().energy_source("Hydropower").build();
+        // Resolution is case-insensitive.
+        let mut hydro = Scenario::paper_defaults();
+        hydro.set("grid.source", "Hydropower").unwrap();
         assert_eq!(hydro.grid.intensity_g_per_kwh, 24.0);
         // Directly-poked unknown sources are caught by validate.
         let mut poked = Scenario::paper_defaults();
@@ -2672,7 +1824,7 @@ mod tests {
         let _ = ctx.scenario();
         assert_eq!(
             tracker.reads().len(),
-            deps::FIELDS.iter().filter(|f| f.semantic).count()
+            FIELDS.iter().filter(|f| f.semantic).count()
         );
         // Untracked contexts record nothing and still compare by scenario.
         let plain = RunContext::paper();
@@ -2699,7 +1851,9 @@ mod tests {
         let ctx = RunContext::new(s);
         assert!(ctx.grid_is_paper());
         assert!(!ctx.fleet_is_paper());
-        let windy = RunContext::new(Scenario::builder().grid_intensity(11.0).build());
+        let mut windy = Scenario::paper_defaults();
+        windy.grid.intensity_g_per_kwh = 11.0;
+        let windy = RunContext::new(windy);
         assert!(!windy.grid_is_paper());
         assert!(windy.fleet_is_paper());
     }

@@ -16,6 +16,7 @@
 //! 10⁴ scenarios whether they are generated by one thread or sixteen, in
 //! any order.
 
+use super::fields;
 use super::sweep::{display_value, format_value, ScenarioPoint, SweepError};
 use super::{Scenario, ScenarioOverlay};
 use crate::experiment::ScalarThreshold;
@@ -95,14 +96,15 @@ impl MonteCarloMatrix {
     /// memory flat, so the cap only bounds wall-clock time.
     pub const MAX_SAMPLES: usize = 1_000_000;
 
-    /// Builds a matrix, probing each binding's central value (mode,
-    /// midpoint or mean) against the base scenario so an unknown path, a
-    /// non-numeric field or a centrally-invalid distribution is rejected
-    /// before any sampling.
+    /// Builds a matrix, rejecting bindings on fields that are not
+    /// distribution-eligible and probing each binding's central value (mode,
+    /// midpoint or mean) against the base scenario so an unknown path or a
+    /// centrally-invalid distribution is rejected before any sampling.
     ///
     /// # Errors
     ///
-    /// [`SweepError`] when there are no bindings, a path is bound twice,
+    /// [`SweepError`] when there are no bindings, a field is bound twice
+    /// (aliases included), a bound field is not distribution-eligible,
     /// `samples` is 0 or exceeds [`Self::MAX_SAMPLES`], or a central value
     /// fails to apply to (or validate against) the base scenario.
     pub fn new(
@@ -126,8 +128,22 @@ impl MonteCarloMatrix {
         }
         let base = Arc::new(base);
         for (i, binding) in bindings.iter().enumerate() {
-            if bindings[..i].iter().any(|prior| prior.path == binding.path) {
+            let axis = fields::canonical(&binding.path);
+            if bindings[..i]
+                .iter()
+                .any(|prior| fields::canonical(&prior.path) == axis)
+            {
                 return Err(SweepError::DuplicatePath(binding.path.clone()));
+            }
+            if fields::lookup(&binding.path).is_some_and(|f| !f.distribution_eligible) {
+                return Err(SweepError::Malformed {
+                    spec: binding.display(),
+                    message: format!(
+                        "`{}` is not distribution-eligible: only f64-typed semantic fields \
+                         accept a distribution",
+                        binding.path
+                    ),
+                });
             }
             let mut probe = ScenarioOverlay::new(Arc::clone(&base));
             probe
@@ -406,6 +422,45 @@ mod tests {
         let err =
             MonteCarloMatrix::new(base(), vec![binding("fleet.pue ~ uniform(0.1,0.2)")], 10, 7);
         assert!(err.unwrap_err().to_string().contains("pue"));
+    }
+
+    #[test]
+    fn matrix_rejects_bindings_on_ineligible_fields_up_front() {
+        let base = Scenario::paper_defaults;
+        // Labels, integers, strings and lists have no continuous sample
+        // space; each is rejected before any sampling, naming the path.
+        for path in [
+            "name",
+            "grid.source",
+            "fleet.initial_servers",
+            "fleet.start_year",
+            "fleet.sku",
+            "fleet.renewable_ramp",
+            "mc.samples",
+        ] {
+            let b = binding(&format!("{path} ~ uniform(1000,2000)"));
+            let err = MonteCarloMatrix::new(base(), vec![b], 10, 7).unwrap_err();
+            assert!(
+                matches!(&err, SweepError::Malformed { message, .. }
+                    if message.contains(path) && message.contains("distribution-eligible")),
+                "{path}: {err}"
+            );
+        }
+        // Aliases of eligible fields stay eligible.
+        let alias = binding("fab.node ~ triangular(5,7,10)");
+        assert!(MonteCarloMatrix::new(base(), vec![alias], 10, 7).is_ok());
+    }
+
+    #[test]
+    fn matrix_rejects_the_same_field_bound_under_two_spellings() {
+        let both = vec![
+            binding("fab.node ~ triangular(5,7,10)"),
+            binding("fab.node_nm ~ uniform(3,5)"),
+        ];
+        assert_eq!(
+            MonteCarloMatrix::new(Scenario::paper_defaults(), both, 10, 7).unwrap_err(),
+            SweepError::DuplicatePath("fab.node_nm".to_string())
+        );
     }
 
     #[test]

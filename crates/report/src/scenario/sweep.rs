@@ -9,6 +9,7 @@
 //! [`ScenarioPoint`]s, and diffs one summary scalar across the points into a
 //! [`Comparison`] artifact (table + JSON).
 
+use super::fields::{self, GRID_INTENSITY, GRID_SOURCE};
 use super::{Scenario, ScenarioError, ScenarioOverlay};
 use crate::experiment::ScalarThreshold;
 use crate::json::JsonValue;
@@ -128,12 +129,13 @@ impl SweepSpec {
         } else if let Some(name) = values_text.strip_prefix('@') {
             match name {
                 "sources" | "table2" => {
-                    if path == "grid.source" {
+                    let field = fields::lookup(&path);
+                    if field.is_some_and(|f| std::ptr::eq(f, &GRID_SOURCE)) {
                         EnergySource::ALL
                             .into_iter()
                             .map(|s| s.name().to_lowercase())
                             .collect()
-                    } else if path.starts_with("grid.intensity") {
+                    } else if field.is_some_and(|f| std::ptr::eq(f, &GRID_INTENSITY)) {
                         EnergySource::ALL
                             .into_iter()
                             .map(|s| format_value(s.carbon_intensity().as_g_per_kwh()))
@@ -268,8 +270,9 @@ impl ScenarioMatrix {
     /// # Errors
     ///
     /// [`SweepError`] when any spec value fails to apply to (or validate
-    /// against) the base scenario, when two specs sweep the same path (the
-    /// later one would silently win at every point), or when the grid
+    /// against) the base scenario, when two specs sweep the same field, even
+    /// under different alias spellings (the later one would silently win at
+    /// every point), or when the grid
     /// exceeds [`Self::MAX_POINTS`].
     pub fn new(base: Scenario, specs: Vec<SweepSpec>) -> Result<Self, SweepError> {
         let base = Arc::new(base);
@@ -281,7 +284,11 @@ impl ScenarioMatrix {
                     message: "spec has no values".to_string(),
                 });
             }
-            if specs[..i].iter().any(|prior| prior.path == spec.path) {
+            let axis = fields::canonical(&spec.path);
+            if specs[..i]
+                .iter()
+                .any(|prior| fields::canonical(&prior.path) == axis)
+            {
                 return Err(SweepError::DuplicatePath(spec.path.clone()));
             }
             points = points
@@ -683,7 +690,8 @@ pub enum SweepError {
     /// A value failed to apply to the scenario (unknown path, wrong type,
     /// out of physical range).
     Scenario(ScenarioError),
-    /// Two specs sweep the same dotted path.
+    /// Two specs (or distribution bindings) target the same field, under the
+    /// same or an aliased path.
     DuplicatePath(String),
     /// The cartesian product exceeds [`ScenarioMatrix::MAX_POINTS`].
     TooLarge {
@@ -856,6 +864,14 @@ mod tests {
         let err = ScenarioMatrix::new(Scenario::paper_defaults(), dup).unwrap_err();
         assert!(matches!(err, SweepError::DuplicatePath(_)));
         assert!(err.to_string().contains("more than once"));
+        // An alias names the same axis: sweeping `fab.node` and
+        // `fab.node_nm` together would silently override the first.
+        let aliased = vec![
+            SweepSpec::parse("fab.node=3,5").unwrap(),
+            SweepSpec::parse("fab.node_nm=7,9").unwrap(),
+        ];
+        let err = ScenarioMatrix::new(Scenario::paper_defaults(), aliased).unwrap_err();
+        assert_eq!(err, SweepError::DuplicatePath("fab.node_nm".to_string()));
 
         // 5000 x 5000 points overflows the grid cap long before any
         // per-point state is allocated.

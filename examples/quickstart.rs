@@ -48,11 +48,10 @@ fn main() {
 
     // 5. Re-run a whole paper experiment under your own scenario: Fig 10's
     //    break-even analysis on a hydro grid with a 5-year lifetime.
-    let hydro = Scenario::builder()
-        .name("hydro-5yr")
-        .grid_intensity(24.0)
-        .lifetime_years(5.0)
-        .build();
+    let mut hydro = Scenario::paper_defaults();
+    hydro.name = "hydro-5yr".to_string();
+    hydro.grid.intensity_g_per_kwh = 24.0;
+    hydro.device.lifetime_years = 5.0;
     let fig10 = chasing_carbon::core::experiments::find("fig10").expect("registry");
     let out = fig10.run(&RunContext::new(hydro));
     println!("\nFig 10 under `hydro-5yr`:");

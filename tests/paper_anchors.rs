@@ -186,11 +186,10 @@ fn custom_scenario_changes_fig10_breakeven() {
     let paper = chasing_carbon::core::experiments::find("fig10")
         .unwrap()
         .run(&RunContext::paper());
-    let hydro = Scenario::builder()
-        .name("hydro-5yr")
-        .grid_intensity(24.0)
-        .lifetime_years(5.0)
-        .build();
+    let mut hydro = Scenario::paper_defaults();
+    hydro.name = "hydro-5yr".to_string();
+    hydro.grid.intensity_g_per_kwh = 24.0;
+    hydro.device.lifetime_years = 5.0;
     let custom = chasing_carbon::core::experiments::find("fig10")
         .unwrap()
         .run(&RunContext::new(hydro));

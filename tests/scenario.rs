@@ -5,20 +5,19 @@ use chasing_carbon::prelude::*;
 
 #[test]
 fn toml_round_trip_through_the_facade() {
-    let scenario = Scenario::builder()
-        .name("integration")
-        .grid_intensity(99.5)
-        .energy_source("solar")
-        .renewable_fraction(0.25)
-        .lifetime_years(4.0)
-        .soc_budget_share(0.4)
-        .fab_node_nm(5.0)
-        .fab_yield_factor(1.5)
-        .fab_renewable_share(0.6)
-        .fleet_scale(2.0)
-        .mc_seed(1234)
-        .mc_samples(2_000)
-        .build();
+    let mut scenario = Scenario::paper_defaults();
+    scenario.name = "integration".to_string();
+    scenario.grid.intensity_g_per_kwh = 99.5;
+    scenario.set("grid.source", "solar").unwrap();
+    scenario.grid.renewable_fraction = 0.25;
+    scenario.device.lifetime_years = 4.0;
+    scenario.device.soc_budget_share = 0.4;
+    scenario.fab.node_nm = 5.0;
+    scenario.fab.yield_factor = 1.5;
+    scenario.fab.renewable_share = 0.6;
+    scenario.fleet.scale = 2.0;
+    scenario.mc.seed = 1234;
+    scenario.mc.samples = 2_000;
     scenario.validate().unwrap();
     let toml = scenario.to_toml();
     let back = Scenario::from_toml(&toml).unwrap();
@@ -45,9 +44,11 @@ fn context_scenario_reaches_the_models() {
         .run(&RunContext::paper());
     let scaled = chasing_carbon::core::experiments::find("ext-sched")
         .unwrap()
-        .run(&RunContext::new(
-            Scenario::builder().fleet_scale(10.0).build(),
-        ));
+        .run(&RunContext::new({
+            let mut scaled = Scenario::paper_defaults();
+            scaled.fleet.scale = 10.0;
+            scaled
+        }));
     let first = |out: &cc_report::ExperimentOutput| -> f64 {
         out.find_series("batch-carbon-cut").unwrap().points[0].x
     };
@@ -61,9 +62,11 @@ fn fleet_params_drive_the_facility_experiment_through_the_facade() {
     let run = |growth: f64| {
         chasing_carbon::core::experiments::find("ext-facility")
             .unwrap()
-            .run(&RunContext::new(
-                Scenario::builder().fleet_growth(growth).build(),
-            ))
+            .run(&RunContext::new({
+                let mut scenario = Scenario::paper_defaults();
+                scenario.fleet.growth = growth;
+                scenario
+            }))
     };
     let slow = run(1.05).summary_scalar().unwrap().value;
     let fast = run(1.45).summary_scalar().unwrap().value;
@@ -144,9 +147,12 @@ fn mc_seed_changes_the_monte_carlo_run_but_defaults_are_stable() {
     let run = |seed: u64| {
         chasing_carbon::core::experiments::find("ext-mc")
             .unwrap()
-            .run(&RunContext::new(
-                Scenario::builder().mc_seed(seed).mc_samples(2_000).build(),
-            ))
+            .run(&RunContext::new({
+                let mut scenario = Scenario::paper_defaults();
+                scenario.mc.seed = seed;
+                scenario.mc.samples = 2_000;
+                scenario
+            }))
     };
     let a = run(1);
     let b = run(1);
@@ -157,7 +163,9 @@ fn mc_seed_changes_the_monte_carlo_run_but_defaults_are_stable() {
 
 #[test]
 fn every_experiment_is_deterministic_under_a_fixed_context() {
-    let ctx = RunContext::new(Scenario::builder().name("determinism").build());
+    let mut scenario = Scenario::paper_defaults();
+    scenario.name = "determinism".to_string();
+    let ctx = RunContext::new(scenario);
     for entry in chasing_carbon::core::experiments::entries() {
         let first = entry.build().run(&ctx);
         let second = entry.build().run(&ctx);

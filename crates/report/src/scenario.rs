@@ -24,11 +24,11 @@ pub mod trace;
 use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, TimeSpan};
 use deps::{FieldSource, ReadTracker};
-use fields::MC_SEED;
-use fields::{Field, FieldSink, FIELDS};
-use fields::{DEVICE_LIFETIME, DEVICE_SOC_BUDGET_SHARE, FAB_NODE_NM, FAB_RENEWABLE_SHARE};
-use fields::{FAB_YIELD_FACTOR, FLEET_HORIZON_YEARS, FLEET_MIX, FLEET_SCALE, FLEET_SKU};
-use fields::{GRID_INTENSITY, GRID_REGIONS, GRID_RENEWABLE_FRACTION, GRID_SOURCE, MC_SAMPLES};
+use fields::{
+    Field, FieldSink, DEVICE_LIFETIME, DEVICE_SOC_BUDGET_SHARE, FAB_NODE_NM, FAB_RENEWABLE_SHARE,
+    FAB_YIELD_FACTOR, FIELDS, FLEET_HORIZON_YEARS, FLEET_MIX, FLEET_SCALE, FLEET_SKU,
+    GRID_INTENSITY, GRID_REGIONS, GRID_RENEWABLE_FRACTION, GRID_SOURCE, MC_SAMPLES, MC_SEED,
+};
 use std::sync::{Arc, OnceLock};
 
 /// Carbon intensity assumed for renewable power purchases when blending

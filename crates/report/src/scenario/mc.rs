@@ -412,6 +412,15 @@ mod tests {
             MonteCarloMatrix::new(base(), dup, 100, 7),
             Err(SweepError::DuplicatePath(_))
         ));
+        // The same field under an alias is the same axis.
+        let aliased = vec![
+            binding("fab.node ~ triangular(5,7,10)"),
+            binding("fab.node_nm ~ uniform(3,5)"),
+        ];
+        assert_eq!(
+            MonteCarloMatrix::new(base(), aliased, 100, 7).unwrap_err(),
+            SweepError::DuplicatePath("fab.node_nm".to_string())
+        );
         // Unknown path and non-numeric field fail at construction.
         let err = MonteCarloMatrix::new(base(), vec![binding("grid.nope ~ uniform(1,2)")], 10, 7);
         assert!(err
@@ -449,18 +458,6 @@ mod tests {
         // Aliases of eligible fields stay eligible.
         let alias = binding("fab.node ~ triangular(5,7,10)");
         assert!(MonteCarloMatrix::new(base(), vec![alias], 10, 7).is_ok());
-    }
-
-    #[test]
-    fn matrix_rejects_the_same_field_bound_under_two_spellings() {
-        let both = vec![
-            binding("fab.node ~ triangular(5,7,10)"),
-            binding("fab.node_nm ~ uniform(3,5)"),
-        ];
-        assert_eq!(
-            MonteCarloMatrix::new(Scenario::paper_defaults(), both, 10, 7).unwrap_err(),
-            SweepError::DuplicatePath("fab.node_nm".to_string())
-        );
     }
 
     #[test]

@@ -53,9 +53,9 @@ pub struct GridParams {
     /// average US grid, Table III).
     pub intensity_g_per_kwh: f64,
     /// Optional energy-source label (`"wind"`, `"coal"`, …). Setting it via
-    /// [`Scenario::set`] or the builder resolves it to an intensity from the
-    /// Table II dataset ([`Scenario::resolve_energy_source`]); the models
-    /// only read `intensity_g_per_kwh`.
+    /// [`Scenario::set`] resolves it to an intensity from the Table II
+    /// dataset ([`Scenario::resolve_energy_source`]); the models only read
+    /// `intensity_g_per_kwh`.
     pub source: Option<String>,
     /// Fraction of operational energy covered by renewable purchases,
     /// blended at [`RENEWABLE_PPA_G_PER_KWH`].
@@ -1496,8 +1496,7 @@ mod tests {
         s = Scenario::paper_defaults();
         s.grid.intensity_g_per_kwh = f64::NAN;
         assert!(s.validate().is_err());
-        // Infinite values are unphysical too, including for the node size
-        // (whose bound once read only `> 0`).
+        // Infinite values are unphysical too.
         for inf in ["inf", "-inf", "infinity"] {
             s = Scenario::paper_defaults();
             s.set("fab.node_nm", inf).unwrap();

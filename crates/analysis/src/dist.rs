@@ -142,6 +142,18 @@ impl DistSpec {
         }
     }
 
+    /// A symmetric triangular band of ±`rel` (relative) around `mode` — the
+    /// shape `ext-mc` gives each disclosure-level input.
+    #[must_use]
+    pub fn triangular_around(mode: f64, rel: f64) -> Self {
+        let half = mode.abs() * rel;
+        Self::Triangular {
+            low: mode - half,
+            mode,
+            high: mode + half,
+        }
+    }
+
     /// The central value of the distribution — the mode, midpoint or mean.
     /// The Monte-Carlo matrix probes this against the base scenario's
     /// validation rules before any sampling, so `uniform(-1,1)` on a

@@ -14,11 +14,10 @@
 //!   "crosses 2017 at fleet.growth ≈ 1.47" lines;
 //! * [`pareto`] — Pareto-frontier extraction for the Fig 8 efficiency
 //!   analyses;
-//! * [`projections`] — compound-growth series for the Fig 1 ICT outlook;
 //! * [`series`] — time-series helpers;
-//! * [`uncertainty`] / [`rng`] — triangular-distribution Monte-Carlo
-//!   propagation on a deterministic splitmix64 generator (seeded from the
-//!   scenario, so `ext-mc` is reproducible).
+//! * [`rng`] — the deterministic splitmix64 generator every Monte-Carlo
+//!   draw runs on (seeded from the scenario, so `ext-mc` and sampled sweeps
+//!   are reproducible).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +25,6 @@
 pub mod crossover;
 pub mod dist;
 pub mod pareto;
-pub mod projections;
 pub mod rng;
 pub mod series;
 pub mod stats;
-pub mod uncertainty;

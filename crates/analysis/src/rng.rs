@@ -3,11 +3,14 @@
 //! The workspace builds in offline environments, so instead of the `rand`
 //! crate this module provides a splitmix64 generator behind a minimal [`Rng`]
 //! trait. Sequences are fully determined by the seed, which is what the
-//! experiment layer requires for reproducible `ext-mc` runs.
+//! experiment layer requires for reproducible Monte-Carlo runs: every
+//! [`DistSpec`](crate::dist::DistSpec) draw — `ext-mc`'s headline inputs
+//! and the engine's sampled scenario fields alike — consumes this
+//! generator.
 
 use std::ops::Range;
 
-/// Minimal uniform-random source used by the uncertainty machinery.
+/// Minimal uniform-random source behind distribution sampling.
 pub trait Rng {
     /// Next raw 64-bit value.
     fn next_u64(&mut self) -> u64;

@@ -387,28 +387,6 @@ impl Default for StreamingStats {
     }
 }
 
-/// Ordinary least-squares fit `y = a + b·x`; returns `(a, b)`.
-///
-/// Returns `None` with fewer than two points or zero x-variance.
-#[must_use]
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-30 {
-        return None;
-    }
-    let b = (n * sxy - sx * sy) / denom;
-    let a = (sy - b * sx) / n;
-    Some((a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,17 +506,5 @@ mod tests {
         assert_eq!(d.stddev, 0.0);
         assert_eq!(d.ci90_half_width(), 0.0);
         assert_eq!((d.min, d.max), (2014.6, 2014.6));
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let pts: Vec<(f64, f64)> = (0..10)
-            .map(|i| (f64::from(i), 3.0 + 2.0 * f64::from(i)))
-            .collect();
-        let (a, b) = linear_fit(&pts).unwrap();
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-        assert_eq!(linear_fit(&[(1.0, 1.0)]), None);
-        assert_eq!(linear_fit(&[(1.0, 1.0), (1.0, 2.0)]), None);
     }
 }

@@ -1,11 +1,13 @@
 //! Model-level benchmarks and ablations: the hot paths of each substrate,
 //! plus the design-choice ablations called out in DESIGN.md.
 
+use cc_analysis::dist::DistSpec;
 use cc_analysis::pareto::{frontier, Point};
-use cc_analysis::uncertainty::{propagate, Triangular};
+use cc_analysis::rng::SplitMix64;
+use cc_analysis::stats::StreamingStats;
 use cc_bench::Bencher;
 use cc_data::ai_models::CnnModel;
-use cc_dcsim::{CarbonAwareScheduler, DayProfile, Facility, ServerConfig};
+use cc_dcsim::{Facility, MultiSiteScheduler, ServerConfig, SitePlan};
 use cc_fab::WaferFootprint;
 use cc_socsim::{ExecutionModel, Network, PowerMonitor, UnitKind};
 use cc_units::prelude::*;
@@ -61,12 +63,19 @@ fn bench_dcsim() {
         black_box(f.simulate(30))
     });
     // Ablation: carbon-aware vs uniform scheduling.
-    let profile = DayProfile::solar_grid(5.0, 60.0, 15.0);
+    let site = [SitePlan::flat(
+        "site",
+        IntensityTrace::solar_day(380.0, 120.0),
+        5.0,
+        60.0,
+        15.0,
+    )];
+    let sched = MultiSiteScheduler::default();
     g.bench("scheduler_uniform", || {
-        black_box(CarbonAwareScheduler::uniform(&profile))
+        black_box(sched.static_placement(&site))
     });
     g.bench("scheduler_carbon_aware", || {
-        black_box(CarbonAwareScheduler::carbon_aware(&profile))
+        black_box(sched.carbon_aware(&site))
     });
 }
 
@@ -108,16 +117,25 @@ fn bench_extensions() {
     g.bench("batch_256", || {
         black_box(cc_socsim::batch::run_batch(&model, &network, UnitKind::Dsp, 256).unwrap())
     });
-    // Monte-Carlo propagation.
-    let inputs = [
-        Triangular::around(24_850.0, 0.20),
-        Triangular::around(380.0, 0.15),
-        Triangular::around(0.0447, 0.25),
+    // Monte-Carlo propagation: seeded triangular draws into a streaming
+    // digest, the shape of `ext-mc`'s Fig 10 headline.
+    let [budget, grid, joules] = [
+        DistSpec::triangular_around(24_850.0, 0.20),
+        DistSpec::triangular_around(380.0, 0.15),
+        DistSpec::triangular_around(0.0447, 0.25),
     ];
     g.bench("monte_carlo_10k", || {
-        black_box(propagate(&inputs, 10_000, 7, |x| {
-            x[0] / ((x[2] / 3.6e6) * x[1])
-        }))
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let mut stats = StreamingStats::new();
+        for _ in 0..10_000 {
+            let (b, c, e) = (
+                budget.sample(&mut rng),
+                grid.sample(&mut rng),
+                joules.sample(&mut rng),
+            );
+            stats.push(b / ((e / 3.6e6) * c));
+        }
+        black_box(stats.summary())
     });
 }
 

@@ -136,6 +136,12 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
             r#"{"op":"run","experiments":["ext-facility"],"dists":["name ~ uniform(1,2000)"],"samples":10}"#,
             "invalid-sweep",
         ),
+        // mc.samples shares the `--samples` cap: billions of trials would
+        // pin a worker (and, with a buffering sampler, abort the daemon).
+        (
+            r#"{"op":"run","experiments":["ext-mc"],"set":{"mc.samples":"4000000000"}}"#,
+            "invalid-scenario",
+        ),
     ] {
         let responses = Daemon::request(&mut reader, &mut stream, line);
         assert_eq!(responses.len(), 1, "one error line per bad request");
@@ -171,6 +177,10 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
         .filter_map(|r| r.get("type").and_then(JsonValue::as_str))
         .collect();
     assert_eq!(kinds, ["artifact", "done"]);
+
+    // And a fresh connection is served too.
+    let out = client(&daemon.addr, &["--hello"]);
+    assert!(out.status.success());
 
     daemon.shutdown();
 }

@@ -1,8 +1,26 @@
 //! Extension: Monte-Carlo robustness of the paper's headline claims under
 //! disclosure-level input uncertainty.
 
-use cc_analysis::uncertainty::{propagate, Triangular};
+use cc_analysis::dist::DistSpec;
+use cc_analysis::rng::SplitMix64;
+use cc_analysis::stats::{BandedSummary, StreamingStats};
 use cc_report::{table::num, Experiment, ExperimentId, ExperimentOutput, RunContext, Table};
+
+/// Streams `trials` evaluations of `model` over seeded draws of `inputs`
+/// (one draw per input per trial, in order) into an O(1)-memory digest.
+fn propagate<const N: usize>(
+    inputs: [DistSpec; N],
+    trials: u32,
+    seed: u64,
+    model: impl Fn([f64; N]) -> f64,
+) -> BandedSummary {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut stats = StreamingStats::new();
+    for _ in 0..trials {
+        stats.push(model(inputs.map(|d| d.sample(&mut rng))));
+    }
+    stats.summary().expect("mc.samples is at least 1")
+}
 
 /// Propagates triangular input uncertainty through three headline results:
 /// the Fig 10 break-even, the Fig 11 capex/opex ratio, and the Fig 14 wafer
@@ -28,14 +46,14 @@ impl Experiment for ExtMonteCarlo {
         let trials = ctx.mc_samples();
         let soc_budget = super::fig10::pixel3_soc_budget(ctx.soc_budget_share()).as_grams();
         let be = propagate(
-            &[
-                Triangular::around(soc_budget, 0.20),
-                Triangular::around(ctx.effective_grid_intensity().as_g_per_kwh(), 0.15),
-                Triangular::around(0.0447, 0.25),
+            [
+                DistSpec::triangular_around(soc_budget, 0.20),
+                DistSpec::triangular_around(ctx.effective_grid_intensity().as_g_per_kwh(), 0.15),
+                DistSpec::triangular_around(0.0447, 0.25),
             ],
             trials,
             ctx.mc_seed(),
-            |x| x[0] / ((x[2] / 3.6e6) * x[1]),
+            |[budget, grid, joules]| budget / ((joules / 3.6e6) * grid),
         );
         let survives = be.p05 > 10.0 * cc_data::ai_models::IMAGENET_TRAIN_IMAGES as f64;
         out.scalar("fig10-breakeven-median", "images", be.p50);
@@ -50,13 +68,13 @@ impl Experiment for ExtMonteCarlo {
         //    factors are coarse) and +/-10% Scope 2 (metered energy).
         let fb = cc_data::corporate::year_of(&cc_data::corporate::FACEBOOK, 2019).unwrap();
         let ratio = propagate(
-            &[
-                Triangular::around(fb.scope3_mt, 0.30),
-                Triangular::around(fb.scope1_mt + fb.scope2_market_mt, 0.10),
+            [
+                DistSpec::triangular_around(fb.scope3_mt, 0.30),
+                DistSpec::triangular_around(fb.scope1_mt + fb.scope2_market_mt, 0.10),
             ],
             trials,
             ctx.mc_seed().wrapping_add(1),
-            |x| x[0] / x[1],
+            |[capex, opex]| capex / opex,
         );
         t.row([
             "Fig 11 capex/opex ratio".to_string(),
@@ -68,10 +86,14 @@ impl Experiment for ExtMonteCarlo {
         // 3. Fig 14: wafer reduction at 64x with the energy share known only
         //    to +/-5 percentage points.
         let reduction = propagate(
-            &[Triangular::new(0.59, 0.64, 0.69)],
+            [DistSpec::Triangular {
+                low: 0.59,
+                mode: 0.64,
+                high: 0.69,
+            }],
             trials,
             ctx.mc_seed().wrapping_add(2),
-            |x| 1.0 / ((1.0 - x[0]) + x[0] / 64.0),
+            |[share]| 1.0 / ((1.0 - share) + share / 64.0),
         );
         t.row([
             "Fig 14 reduction at 64x".to_string(),

@@ -3,8 +3,8 @@
 //! A warehouse-scale data-center simulator: server fleets with PUE overhead,
 //! year-by-year energy demand, renewable (PPA) procurement, construction and
 //! hardware embodied carbon, the Prineville-like scenario behind Fig 2
-//! (left), and a carbon-aware batch scheduler implementing the Section VI
-//! research direction.
+//! (left), and carbon-aware placement of deferrable load implementing the
+//! Section VI research direction.
 //!
 //! * [`facility`] — the scenario-driven facility model: simulate any fleet
 //!   description over a planning horizon ([`Facility`] / [`FacilityYear`],
@@ -17,9 +17,10 @@
 //!   the paper-default scenario reproduces it bit for bit.
 //! * [`server`] — per-SKU power/embodied-carbon descriptions and the SKU
 //!   catalog.
-//! * [`scheduler`] — carbon-aware placement of deferrable load across hours
-//!   and sites against per-region intensity traces (`ext-sched`,
-//!   `ext-scheduler`).
+//! * [`scheduler`] — [`MultiSiteScheduler`]: carbon-aware placement of
+//!   deferrable load across hours and sites against per-region intensity
+//!   traces. `ext-scheduler` runs it on a multi-site fleet; `ext-sched` is
+//!   the one-site case on a solar-shaped day.
 //! * [`heterogeneity`] — general-purpose vs accelerator provisioning
 //!   (`ext-hetero`).
 
@@ -35,7 +36,5 @@ pub mod server;
 
 pub use facility::{Facility, FacilityYear, SkuYear};
 pub use fleet::FleetMix;
-pub use scheduler::{
-    CarbonAwareScheduler, DayProfile, FleetSchedule, MultiSiteScheduler, SitePlan,
-};
+pub use scheduler::{FleetSchedule, MultiSiteScheduler, SitePlan};
 pub use server::ServerConfig;

@@ -11,8 +11,9 @@
 //! Layout and safety properties:
 //!
 //! * **code fingerprinting** — entries live under a directory named by a
-//!   hash of the on-disk format version and the crate version, so artifacts
-//!   produced by older model code are never replayed into newer binaries
+//!   hash of the on-disk format version, the crate version and a build-time
+//!   content hash of the model crates' sources (`build.rs`), so artifacts
+//!   produced by other model code are never replayed into this binary
 //!   (they simply sit in a sibling directory nobody reads);
 //! * **versioned headers** — each entry opens with a header line repeating
 //!   the format version, code fingerprint, experiment key and dependency
@@ -43,14 +44,15 @@ fn fnv(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The fingerprint of the *code* that produced an artifact: the cache
-/// format version plus the workspace crate version. Entries are stored
-/// under a directory named by this hash, so changing the models (a version
-/// bump) or the entry format orphans stale artifacts instead of serving
-/// them.
+/// format version, the workspace crate version and the content hash of
+/// every model crate's `.rs` sources, taken at build time. Entries are
+/// stored under a directory named by this hash, so any edit to the models
+/// or the entry format orphans stale artifacts instead of serving them.
 #[must_use]
 pub fn code_fingerprint() -> u64 {
     let hash = fnv(0xcbf2_9ce4_8422_2325, &CACHE_FORMAT_VERSION.to_le_bytes());
-    fnv(fnv(hash, &[0]), env!("CARGO_PKG_VERSION").as_bytes())
+    let hash = fnv(fnv(hash, &[0]), env!("CARGO_PKG_VERSION").as_bytes());
+    fnv(fnv(hash, &[0]), env!("CC_MODEL_SOURCE_HASH").as_bytes())
 }
 
 /// A persistent artifact cache rooted at one directory. Cheap to open (one
@@ -59,6 +61,8 @@ pub fn code_fingerprint() -> u64 {
 pub struct DiskCache {
     /// `<cache-dir>/<code fingerprint>` — where this binary's entries live.
     dir: PathBuf,
+    /// The code fingerprint entries are written and accepted under.
+    code: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -74,10 +78,16 @@ impl DiskCache {
     /// The underlying `create_dir_all` error when the directory cannot be
     /// created (permissions, a file in the way, …).
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
-        let dir = dir.as_ref().join(format!("{:016x}", code_fingerprint()));
+        Self::open_as(dir.as_ref(), code_fingerprint())
+    }
+
+    /// Opens the cache as the binary whose code fingerprint is `code`.
+    fn open_as(dir: &Path, code: u64) -> std::io::Result<Self> {
+        let dir = dir.join(format!("{code:016x}"));
         fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
+            code,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -98,10 +108,10 @@ impl DiskCache {
     /// The header line every entry opens with. Load compares it verbatim:
     /// any drift — version, code fingerprint, key, dependency fingerprint —
     /// makes the entry invisible rather than half-trusted.
-    fn header(key: &str, fingerprint: u64) -> String {
+    fn header(&self, key: &str, fingerprint: u64) -> String {
         format!(
             "cc-cache v{CACHE_FORMAT_VERSION} code={:016x} key={key} fp={fingerprint:016x}",
-            code_fingerprint()
+            self.code
         )
     }
 
@@ -114,7 +124,7 @@ impl DiskCache {
             .ok()
             .and_then(|text| {
                 let (header, body) = text.split_once('\n')?;
-                if header != Self::header(key, fingerprint) {
+                if header != self.header(key, fingerprint) {
                     return None;
                 }
                 ExperimentOutput::from_json(&JsonValue::parse(body.trim_end()).ok()?)
@@ -137,7 +147,7 @@ impl DiskCache {
         ));
         let write = |path: &Path| -> std::io::Result<()> {
             let mut file = fs::File::create(path)?;
-            writeln!(file, "{}", Self::header(key, fingerprint))?;
+            writeln!(file, "{}", self.header(key, fingerprint))?;
             writeln!(file, "{}", output.to_json().render())?;
             file.sync_all()
         };
@@ -245,6 +255,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cache.load("fig02", 11), None, "old version is invisible");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_from_other_model_code_are_never_replayed() {
+        let dir = temp_dir("code");
+        let keys = [("fig10", 1), ("ext-mc", 2), ("fig05", 3)];
+        let old = DiskCache::open_as(&dir, code_fingerprint() ^ 1).unwrap();
+        for (key, fp) in keys {
+            old.store(key, fp, &output(fp as f64));
+            assert_eq!(old.load(key, fp), Some(output(fp as f64)));
+        }
+        let current = DiskCache::open(&dir).unwrap();
+        assert_ne!(current.dir(), old.dir());
+        for (key, fp) in keys {
+            assert_eq!(current.load(key, fp), None, "{key} replayed across code");
+        }
+        // Even entries copied into this binary's directory fail the header
+        // check.
+        for entry in fs::read_dir(old.dir()).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, current.dir().join(path.file_name().unwrap())).unwrap();
+        }
+        for (key, fp) in keys {
+            assert_eq!(current.load(key, fp), None, "{key} replayed across code");
+        }
+        assert_eq!(current.counters(), (0, 6, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

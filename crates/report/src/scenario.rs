@@ -1505,6 +1505,22 @@ mod tests {
                 "fab.node_nm = {inf} must be rejected"
             );
         }
+        // mc.samples shares the `--samples` cap, so one served request
+        // cannot pin a worker for billions of draws.
+        let cap = mc::MonteCarloMatrix::MAX_SAMPLES;
+        s = Scenario::paper_defaults();
+        s.set("mc.samples", &cap.to_string()).unwrap();
+        s.validate().unwrap();
+        for over in [cap + 1, 4_000_000_000] {
+            s.set("mc.samples", &over.to_string()).unwrap();
+            assert_eq!(
+                s.validate(),
+                Err(ScenarioError::Invalid(format!(
+                    "mc.samples must be in 1..={cap}"
+                ))),
+                "mc.samples = {over} must be rejected"
+            );
+        }
     }
 
     #[test]

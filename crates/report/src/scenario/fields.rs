@@ -23,6 +23,7 @@
 //! hand-written in the parent module.
 
 use super::deps::FieldSource;
+use super::mc::MonteCarloMatrix;
 use super::{quote, trace, unquote};
 use super::{DeviceParams, FabParams, FleetParams, GridParams, McParams};
 use super::{RegionParams, Scenario, ScenarioError, SiteParams};
@@ -577,7 +578,8 @@ scenario_fields! {
     mc: McParams {
         MC_SEED seed: u64 = 10, "mc.seed", "any", true,
             "Base RNG seed for the Monte-Carlo experiment";
-        MC_SAMPLES samples: u32 = 20_000, "mc.samples", ">= 1" if |v| *v >= 1, true,
+        MC_SAMPLES samples: u32 = 20_000, "mc.samples",
+            "in 1..=1000000" if |v| (1..=MonteCarloMatrix::MAX_SAMPLES).contains(&(*v as usize)), true,
             "Monte-Carlo trials per propagated headline";
     }
 }

@@ -92,8 +92,9 @@ pub struct MonteCarloMatrix {
 }
 
 impl MonteCarloMatrix {
-    /// The largest sample count a matrix accepts. Streaming statistics keep
-    /// memory flat, so the cap only bounds wall-clock time.
+    /// The largest sample count a matrix accepts — and the upper bound of
+    /// `mc.samples`. Streaming statistics keep memory flat, so the cap only
+    /// bounds wall-clock time.
     pub const MAX_SAMPLES: usize = 1_000_000;
 
     /// Builds a matrix, rejecting bindings on fields that are not

@@ -1,10 +1,13 @@
 //! A corporate-sustainability workflow: simulate a data-center operator's
-//! year, roll it into a GHG Protocol disclosure, and propagate input
-//! uncertainty into the headline ratio.
+//! year, roll it into a GHG Protocol disclosure, and propagate triangular
+//! input uncertainty into the headline ratio with seeded `DistSpec` draws
+//! folded into a streaming (O(1)-memory) digest.
 //!
 //! Run with `cargo run --example corporate_report`.
 
-use chasing_carbon::analysis::uncertainty::{propagate, Triangular};
+use chasing_carbon::analysis::dist::DistSpec;
+use chasing_carbon::analysis::rng::SplitMix64;
+use chasing_carbon::analysis::stats::StreamingStats;
 use chasing_carbon::dcsim::{Facility, ServerConfig};
 use chasing_carbon::ghg::reporting::SustainabilityReport;
 use chasing_carbon::prelude::*;
@@ -31,11 +34,14 @@ fn main() {
     let last = years.last().expect("simulated years");
     let capex = last.capex_carbon.as_tonnes();
     let opex = last.market_carbon.as_tonnes();
-    let inputs = [
-        Triangular::around(capex, 0.30), // embodied-carbon factors are coarse
-        Triangular::around(opex, 0.15),  // metered energy is better known
-    ];
-    let summary = propagate(&inputs, 20_000, 2026, |x| x[0] / x[1]);
+    let capex_dist = DistSpec::triangular_around(capex, 0.30); // embodied factors are coarse
+    let opex_dist = DistSpec::triangular_around(opex, 0.15); // metered energy is better known
+    let mut rng = SplitMix64::seed_from_u64(2026);
+    let mut stats = StreamingStats::new();
+    for _ in 0..20_000 {
+        stats.push(capex_dist.sample(&mut rng) / opex_dist.sample(&mut rng));
+    }
+    let summary = stats.summary().expect("20 000 samples");
     println!(
         "capex/opex ratio: median {:.0}x (90% band {:.0}x..{:.0}x) — \
          capex dominance survives +/-30% embodied-carbon uncertainty",

@@ -1,10 +1,11 @@
 //! A data-center operator's view: grow a facility, procure renewables, watch
 //! the footprint shift from opex to capex — then claw back more carbon with
-//! carbon-aware scheduling.
+//! carbon-aware scheduling (a one-site `MultiSiteScheduler` fleet on a
+//! solar-shaped grid).
 //!
 //! Run with `cargo run --example datacenter_renewable_transition`.
 
-use chasing_carbon::dcsim::{CarbonAwareScheduler, DayProfile, Facility, ServerConfig};
+use chasing_carbon::dcsim::{Facility, FleetSchedule, MultiSiteScheduler, ServerConfig, SitePlan};
 use chasing_carbon::ghg::Scope2Method;
 use chasing_carbon::prelude::*;
 
@@ -40,10 +41,18 @@ fn main() {
 
     // Carbon-aware scheduling: shift the nightly training jobs into the
     // solar window (Section VI extension).
-    let profile = DayProfile::solar_grid(40.0, 300.0, 90.0);
-    let uniform = CarbonAwareScheduler::uniform(&profile);
-    let aware = CarbonAwareScheduler::carbon_aware(&profile);
-    let cut = 1.0 - aware.batch_carbon(&profile) / uniform.batch_carbon(&profile);
+    let site = [SitePlan::flat(
+        "example-dc",
+        IntensityTrace::solar_day(380.0, 120.0),
+        40.0,
+        300.0,
+        90.0,
+    )];
+    let sched = MultiSiteScheduler::default();
+    let uniform = sched.static_placement(&site);
+    let aware = sched.carbon_aware(&site);
+    let batch = |s: &FleetSchedule| s.deferrable_carbon(&site, sched.migration_overhead);
+    let cut = 1.0 - batch(&aware) / batch(&uniform);
     println!(
         "\nCarbon-aware batch scheduling on a solar-shaped grid: {} -> {} per day \
          ({:.0}% cut in batch-attributable carbon)",

@@ -140,9 +140,16 @@ proptest! {
     #[test]
     fn scheduler_never_worse(batch in 1.0..200.0f64, base in 0.1..5.0f64) {
         let capacity = base + batch / 24.0 + 1.0;
-        let profile = chasing_carbon::dcsim::DayProfile::solar_grid(base, batch, capacity);
-        let uniform = chasing_carbon::dcsim::CarbonAwareScheduler::uniform(&profile);
-        let aware = chasing_carbon::dcsim::CarbonAwareScheduler::carbon_aware(&profile);
+        let site = [chasing_carbon::dcsim::SitePlan::flat(
+            "site",
+            IntensityTrace::solar_day(380.0, 120.0),
+            base,
+            batch,
+            capacity,
+        )];
+        let sched = chasing_carbon::dcsim::MultiSiteScheduler::default();
+        let uniform = sched.static_placement(&site);
+        let aware = sched.carbon_aware(&site);
         prop_assert!(aware.total_carbon <= uniform.total_carbon + CarbonMass::from_grams(1e-3));
     }
 }

@@ -105,10 +105,15 @@ fn protocol_errors_leave_the_daemon_and_cache_untouched() {
     let daemon = Daemon::start();
     let (mut reader, mut stream) = daemon.connect();
 
+    // Nesting far past the parser's depth limit is rejected, not
+    // recursed into until the connection thread's stack overflows.
+    let deep = "[".repeat(200_000);
+
     // Every malformed request yields one structured error on the same
     // still-open connection.
     for (line, category) in [
         ("{definitely not json", "malformed-request"),
+        (deep.as_str(), "malformed-request"),
         (r#"{"op":"launch"}"#, "malformed-request"),
         (
             r#"{"op":"run","experiments":["fig99"]}"#,

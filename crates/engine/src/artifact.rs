@@ -3,16 +3,19 @@
 //! Both front-ends must emit byte-identical artifacts for the same
 //! (experiment × scenario-point) job — the serve-smoke CI job diffs daemon
 //! output against a one-shot `repro --sweep` run file-for-file — so the
-//! rendering lives here, once. The JSON form is built as a [`JsonValue`]
-//! first ([`artifact_json`]) so the server can embed the same value inside
-//! its response envelope: `JsonValue::render` is deterministic and
-//! round-trip stable, which is what makes the client's re-rendered files
-//! match the CLI's bytes exactly.
+//! rendering lives here, once. The JSON form is streamed straight into the
+//! output buffer ([`Artifact`]'s [`WriteJson`]); the server streams the same
+//! bytes into its response envelope, and a client that parses the envelope
+//! and re-renders the artifact reproduces them exactly, because parsing is
+//! round-trip stable on the stream's output. [`artifact_json`] and the
+//! other `*_json` trees are derived from the streams for callers that want
+//! a value.
 
 use cc_core::experiments::Entry;
+use cc_report::json::{self, write_array, write_object, write_str};
 use cc_report::{
     Comparison, Experiment, ExperimentOutput, JsonValue, McComparison, MonteCarloMatrix,
-    RunContext, ScenarioMatrix, ScenarioPoint,
+    RunContext, ScenarioMatrix, ScenarioPoint, WriteJson,
 };
 
 /// Output format for artifacts and comparison reports.
@@ -41,9 +44,41 @@ impl Format {
     }
 }
 
-/// The JSON artifact for one (experiment × scenario-point) job, as a value:
+/// The JSON artifact for one (experiment × scenario-point) job:
 /// experiment identity and tags, the sweep-point metadata when sweeping,
 /// the full scenario, and the experiment output.
+pub struct Artifact<'a> {
+    /// The registry entry (key and tags).
+    pub entry: &'a Entry,
+    /// The experiment (title and description).
+    pub experiment: &'a dyn Experiment,
+    /// The computed output.
+    pub output: &'a ExperimentOutput,
+    /// The context the output belongs to (the scenario member).
+    pub ctx: &'a RunContext,
+    /// The sweep point, when sweeping.
+    pub point: Option<&'a ScenarioPoint>,
+}
+
+impl WriteJson for Artifact<'_> {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("key", self.entry.key)
+                .field("title", &self.experiment.id().to_string())
+                .field("description", self.experiment.description());
+            write_array(o.key("tags"), self.entry.tags, |out, tag| {
+                write_str(out, tag.name());
+            });
+            if let Some(point) = self.point {
+                o.field("point", point);
+            }
+            self.ctx.write_scenario_json(o.key("scenario"));
+            o.field("output", self.output);
+        });
+    }
+}
+
+/// The [`Artifact`] as a tree, derived from its stream.
 #[must_use]
 pub fn artifact_json(
     entry: &Entry,
@@ -52,21 +87,13 @@ pub fn artifact_json(
     ctx: &RunContext,
     point: Option<&ScenarioPoint>,
 ) -> JsonValue {
-    let mut fields = vec![
-        ("key", JsonValue::from(entry.key)),
-        ("title", JsonValue::from(experiment.id().to_string())),
-        ("description", JsonValue::from(experiment.description())),
-        (
-            "tags",
-            JsonValue::array(entry.tags.iter().map(|t| JsonValue::from(t.name()))),
-        ),
-    ];
-    if let Some(point) = point {
-        fields.push(("point", point.to_json()));
-    }
-    fields.push(("scenario", ctx.scenario().to_json()));
-    fields.push(("output", output.to_json()));
-    JsonValue::object(fields)
+    json::tree(&Artifact {
+        entry,
+        experiment,
+        output,
+        ctx,
+        point,
+    })
 }
 
 /// Renders one (experiment × scenario-point) artifact from an
@@ -104,33 +131,44 @@ pub fn render_artifact(
             experiment.description(),
             output.render_csv()
         ),
-        Format::Json => artifact_json(entry, experiment, output, ctx, point).render(),
+        Format::Json => json::render(&Artifact {
+            entry,
+            experiment,
+            output,
+            ctx,
+            point,
+        }),
     }
 }
 
-/// The cross-scenario comparison report, as a JSON value: the sweep specs,
-/// point count, and every comparison.
+/// The cross-scenario comparison report as JSON: the sweep specs, point
+/// count, and every comparison.
+struct ComparisonReport<'a> {
+    comparisons: &'a [Comparison],
+    matrix: &'a ScenarioMatrix,
+}
+
+impl WriteJson for ComparisonReport<'_> {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            write_array(o.key("sweep"), self.matrix.specs(), |out, spec| {
+                write_object(out, |s| {
+                    s.field("path", &spec.path).field("values", &spec.values);
+                });
+            });
+            o.field("points", &self.matrix.len())
+                .field("comparisons", self.comparisons);
+        });
+    }
+}
+
+/// The cross-scenario comparison report as a tree, derived from its stream.
 #[must_use]
 pub fn comparison_json(comparisons: &[Comparison], matrix: &ScenarioMatrix) -> JsonValue {
-    JsonValue::object([
-        (
-            "sweep",
-            JsonValue::array(matrix.specs().iter().map(|spec| {
-                JsonValue::object([
-                    ("path", JsonValue::from(spec.path.as_str())),
-                    (
-                        "values",
-                        JsonValue::array(spec.values.iter().map(|v| JsonValue::from(v.as_str()))),
-                    ),
-                ])
-            })),
-        ),
-        ("points", JsonValue::Integer(matrix.len() as u64)),
-        (
-            "comparisons",
-            JsonValue::array(comparisons.iter().map(Comparison::to_json)),
-        ),
-    ])
+    json::tree(&ComparisonReport {
+        comparisons,
+        matrix,
+    })
 }
 
 /// Renders the cross-scenario comparison report in the selected format.
@@ -141,7 +179,10 @@ pub fn render_comparisons(
     format: Format,
 ) -> String {
     match format {
-        Format::Json => comparison_json(comparisons, matrix).render(),
+        Format::Json => json::render(&ComparisonReport {
+            comparisons,
+            matrix,
+        }),
         Format::Markdown => {
             let mut out = String::from("# Cross-scenario comparison\n");
             for c in comparisons {
@@ -218,18 +259,30 @@ pub fn render_comparisons(
     }
 }
 
-/// The Monte-Carlo comparison report, as a JSON value: the sampling
-/// parameters (`samples`, `seed`, `dists`) and one banded digest per
-/// (experiment, tracked metric).
+/// The Monte-Carlo comparison report as JSON: the sampling parameters
+/// (`samples`, `seed`, `dists`) and one banded digest per (experiment,
+/// tracked metric).
+struct McReport<'a> {
+    comparisons: &'a [McComparison],
+    matrix: &'a MonteCarloMatrix,
+}
+
+impl WriteJson for McReport<'_> {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("mc", self.matrix)
+                .field("comparisons", self.comparisons);
+        });
+    }
+}
+
+/// The Monte-Carlo comparison report as a tree, derived from its stream.
 #[must_use]
 pub fn mc_comparison_json(comparisons: &[McComparison], matrix: &MonteCarloMatrix) -> JsonValue {
-    JsonValue::object([
-        ("mc", matrix.to_json()),
-        (
-            "comparisons",
-            JsonValue::array(comparisons.iter().map(McComparison::to_json)),
-        ),
-    ])
+    json::tree(&McReport {
+        comparisons,
+        matrix,
+    })
 }
 
 /// Renders the Monte-Carlo comparison report in the selected format: the
@@ -249,7 +302,10 @@ pub fn render_mc_comparisons(
             .collect::<String>()
     };
     match format {
-        Format::Json => mc_comparison_json(comparisons, matrix).render(),
+        Format::Json => json::render(&McReport {
+            comparisons,
+            matrix,
+        }),
         Format::Markdown => {
             let mut out = format!(
                 "# Monte-Carlo comparison\n\n- samples: {}\n- seed: {}\n",

@@ -148,7 +148,7 @@ impl DiskCache {
         let write = |path: &Path| -> std::io::Result<()> {
             let mut file = fs::File::create(path)?;
             writeln!(file, "{}", self.header(key, fingerprint))?;
-            writeln!(file, "{}", output.to_json().render())?;
+            writeln!(file, "{}", output.render_json())?;
             file.sync_all()
         };
         if write(&tmp).is_ok() && fs::rename(&tmp, self.entry_path(key, fingerprint)).is_ok() {

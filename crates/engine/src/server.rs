@@ -30,15 +30,14 @@
 //! flag and drain. Work already admitted to a queue still completes and
 //! its responses are still delivered.
 
-use crate::artifact::{
-    artifact_file_name, artifact_json, comparison_json, mc_comparison_json, Format,
-};
+use crate::artifact::{artifact_file_name, comparison_json, mc_comparison_json, Artifact, Format};
 use crate::grid::{build_comparisons, GridConfig, GridJob};
 use crate::mc::McConfig;
 use crate::protocol::{
     parse_frame, ProtocolError, Request, RequestId, RunRequest, OPS, PROTOCOL_VERSION,
 };
 use crate::Engine;
+use cc_report::json::write_object;
 use cc_report::JsonValue;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -731,29 +730,32 @@ fn handle_batch(connection: &Connection<'_>, runs: &[RunRequest], id: Option<&Re
     connection.writer.send(&done);
 }
 
-/// The payload fields of one `artifact` response line: the experiment
-/// key, the file name the CLI would have written, and the full artifact
-/// envelope.
-fn artifact_fields(job: &GridJob<'_>) -> Vec<(&'static str, JsonValue)> {
-    let artifact = artifact_json(
-        job.entry,
-        job.experiment,
-        job.output,
-        job.context,
-        job.sweeping.then_some(job.point),
-    );
-    vec![
-        ("key", JsonValue::from(job.entry.key)),
-        (
-            "name",
-            JsonValue::from(artifact_file_name(
-                job.entry.key,
-                job.sweeping.then_some(job.point),
-                Format::Json,
-            )),
-        ),
-        ("artifact", artifact),
-    ]
+/// The untagged `artifact` response line for one job: `type`, the
+/// experiment key, the file name the CLI would have written, and the full
+/// artifact envelope, streamed into one buffer. [`Route::artifact_line`]
+/// splices a request's routing tag in.
+fn untagged_artifact_line(job: &GridJob<'_>) -> String {
+    let point = job.sweeping.then_some(job.point);
+    let mut line = String::new();
+    write_object(&mut line, |o| {
+        o.field("type", "artifact")
+            .field("key", job.entry.key)
+            .field(
+                "name",
+                &artifact_file_name(job.entry.key, point, Format::Json),
+            )
+            .field(
+                "artifact",
+                &Artifact {
+                    entry: job.entry,
+                    experiment: job.experiment,
+                    output: job.output,
+                    ctx: job.context,
+                    point,
+                },
+            );
+    });
+    line
 }
 
 /// Executes one already-resolved run, streaming its artifact and
@@ -815,12 +817,12 @@ fn execute_resolved(
         // Sweep artifacts embed per-point data and `no_cache` promises a
         // fresh pipeline, so both render from scratch.
         if !job.sweeping && !request.no_cache {
-            let untagged = resolved.base.rendered_artifact(job.entry.key, || {
-                Route::default().line("artifact", artifact_fields(job))
-            });
+            let untagged = resolved
+                .base
+                .rendered_artifact(job.entry.key, || untagged_artifact_line(job));
             return vec![route.artifact_line(&untagged)];
         }
-        vec![route.line("artifact", artifact_fields(job))]
+        vec![route.artifact_line(&untagged_artifact_line(job))]
     };
     let result = engine.run_grid(
         &resolved.entries,

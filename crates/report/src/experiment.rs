@@ -2,7 +2,7 @@
 //! that consumes a [`RunContext`] and produces tables, typed series and
 //! commentary.
 
-use crate::json::JsonValue;
+use crate::json::{self, write_array, write_object, JsonValue, WriteJson};
 use crate::scenario::RunContext;
 use crate::series::Series;
 use crate::table::Table;
@@ -115,14 +115,12 @@ pub struct ScalarThreshold {
     pub label: String,
 }
 
-impl ScalarThreshold {
-    /// The threshold as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("value", JsonValue::from(self.value)),
-            ("label", JsonValue::from(self.label.as_str())),
-        ])
+/// The threshold as `{"value", "label"}`.
+impl WriteJson for ScalarThreshold {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("value", &self.value).field("label", &self.label);
+        });
     }
 }
 
@@ -142,21 +140,16 @@ pub struct Scalar {
     pub threshold: Option<ScalarThreshold>,
 }
 
-impl Scalar {
-    /// The scalar as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", JsonValue::from(self.name.as_str())),
-            ("unit", JsonValue::from(self.unit.as_str())),
-            ("value", JsonValue::from(self.value)),
-            (
-                "threshold",
-                self.threshold
-                    .as_ref()
-                    .map_or(JsonValue::Null, ScalarThreshold::to_json),
-            ),
-        ])
+/// The scalar as `{"name", "unit", "value", "threshold"}` (`null` when it
+/// carries no threshold).
+impl WriteJson for Scalar {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("unit", &self.unit)
+                .field("value", &self.value)
+                .field("threshold", &self.threshold);
+        });
     }
 }
 
@@ -309,45 +302,11 @@ impl ExperimentOutput {
         out
     }
 
-    /// The output as a JSON object: `tables`, `series`, `notes`.
+    /// The output as a JSON tree, derived from its stream
+    /// ([`WriteJson`]).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            (
-                "tables",
-                JsonValue::array(self.tables.iter().map(|(title, table)| {
-                    JsonValue::object([
-                        ("title", JsonValue::from(title.as_str())),
-                        (
-                            "header",
-                            JsonValue::array(
-                                table.header().iter().map(|h| JsonValue::from(h.as_str())),
-                            ),
-                        ),
-                        (
-                            "rows",
-                            JsonValue::array(table.rows().iter().map(|row| {
-                                JsonValue::array(
-                                    row.iter().map(|cell| JsonValue::from(cell.as_str())),
-                                )
-                            })),
-                        ),
-                    ])
-                })),
-            ),
-            (
-                "series",
-                JsonValue::array(self.series.iter().map(Series::to_json)),
-            ),
-            (
-                "scalars",
-                JsonValue::array(self.scalars.iter().map(Scalar::to_json)),
-            ),
-            (
-                "notes",
-                JsonValue::array(self.notes.iter().map(|n| JsonValue::from(n.as_str()))),
-            ),
-        ])
+        json::tree(self)
     }
 
     /// Reconstructs an output from [`Self::to_json`]'s object shape — the
@@ -413,7 +372,7 @@ impl ExperimentOutput {
     /// Renders the output as a compact JSON string.
     #[must_use]
     pub fn render_json(&self) -> String {
-        self.to_json().render()
+        json::render(self)
     }
 
     /// Renders everything to text.
@@ -438,6 +397,25 @@ impl ExperimentOutput {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The output as `{"tables", "series", "scalars", "notes"}`; each table is
+/// `{"title", "header", "rows"}` with every cell a string.
+impl WriteJson for ExperimentOutput {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            write_array(o.key("tables"), &self.tables, |out, (title, table)| {
+                write_object(out, |t| {
+                    t.field("title", title)
+                        .field("header", table.header())
+                        .field("rows", table.rows());
+                });
+            });
+            o.field("series", &self.series)
+                .field("scalars", &self.scalars)
+                .field("notes", &self.notes);
+        });
     }
 }
 

@@ -1,15 +1,297 @@
-//! A minimal JSON document builder and parser.
+//! JSON output and input without `serde_json` (the workspace builds
+//! offline).
 //!
-//! The workspace builds offline, so instead of `serde_json` the report layer
-//! carries this small value type: enough to emit well-formed, escaped JSON
-//! artifacts for every experiment, with non-finite numbers mapped to `null`
-//! (JSON has no NaN/Infinity). [`JsonValue::parse`] reads the same dialect
-//! back — the `repro serve` wire protocol and the bench baseline gate both
-//! speak newline-delimited JSON, so the workspace needs to consume JSON, not
-//! just emit it. Parsing is round-trip stable on this module's own output:
-//! `JsonValue::parse(v.render())?.render() == v.render()` (numbers render
-//! via `{:?}`, the shortest form that round-trips; integer tokens without
-//! `.`/`e` stay [`JsonValue::Integer`]).
+//! **Output streams.** Every report type with a JSON form implements
+//! [`WriteJson`]: it appends its document straight into one `String`
+//! through the primitives here — [`write_str`] (copies unescaped runs
+//! whole), [`write_f64`] (the bytes of `format!("{n:?}")`, the shortest
+//! form that round-trips, with a fast path for short decimals and
+//! non-finite values mapped to `null`) and [`write_u64`] — plus the
+//! [`write_object`] / [`write_array`] framing. A per-cell sweep artifact is
+//! therefore rendered without building any intermediate value, and each
+//! type describes its JSON shape exactly once, in its `write_json`.
+//!
+//! **Trees are derived.** [`JsonValue`] is the document model for code that
+//! reads JSON (the `repro serve` wire protocol, the disk cache, the bench
+//! baseline gate) or assembles small one-off documents (protocol response
+//! lines). A type's `to_json` tree is [`tree`]: its stream parsed back. That
+//! is exact because parsing is round-trip stable on this module's own
+//! output — `JsonValue::parse(v.render())?.render() == v.render()`, and
+//! `JsonValue::render` writes through the same primitives (integer tokens
+//! without `.`/`e` stay [`JsonValue::Integer`]).
+//!
+//! [`JsonValue::parse`] accepts RFC 8259 documents nested at most
+//! [`MAX_DEPTH`] arrays/objects deep, so hostile input cannot exhaust the
+//! stack of the thread parsing it.
+
+use core::fmt::Write as _;
+
+/// A type with one JSON shape, streamed straight into an output buffer.
+pub trait WriteJson {
+    /// Appends this value's JSON document to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Renders `value`'s JSON into a fresh string.
+#[must_use]
+pub fn render<T: WriteJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+/// `value`'s JSON as a tree, derived from its stream: the tree renders back
+/// to exactly the streamed bytes.
+///
+/// # Panics
+///
+/// Only if a [`WriteJson`] implementation emits invalid JSON (a bug).
+#[must_use]
+pub fn tree<T: WriteJson + ?Sized>(value: &T) -> JsonValue {
+    JsonValue::parse(&render(value)).expect("streamed JSON is well-formed")
+}
+
+/// Appends `s` as a JSON string literal: quotes, backslashes and control
+/// characters are escaped, every other run of bytes is copied whole.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        out.push_str(escape);
+        if b < 0x20 && !matches!(b, b'\n' | b'\r' | b'\t') {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n`, without allocating.
+pub fn write_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; 20];
+    out.push_str(digits(n, &mut buf));
+}
+
+/// The decimal digits of `n`, formatted into the tail of `buf`.
+fn digits(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        // `n % 10 < 10`, so the cast is lossless.
+        #[allow(clippy::cast_possible_truncation)]
+        let digit = (n % 10) as u8;
+        buf[start] = b'0' + digit;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    core::str::from_utf8(&buf[start..]).expect("ASCII digits")
+}
+
+/// Appends `n` exactly as `format!("{n:?}")` would (the shortest decimal
+/// that round-trips), or `null` for a non-finite value — JSON has no
+/// NaN/Infinity.
+pub fn write_f64(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if !write_short_decimal(out, n) {
+        write!(out, "{n:?}").expect("writing to a String cannot fail");
+    }
+}
+
+/// `10^k` for `k` in `0..=18`, each exact in an `f64`.
+const POW10: [f64; 19] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
+
+/// The fast path of [`write_f64`]: zero, and magnitudes in `[1e-4, 1e15)`
+/// that are an integer `m < 1e15` over `10^k`. For the smallest such `k`,
+/// `m·10^-k` is the shortest decimal that round-trips, which is what `{:?}`
+/// prints in this range (fixed notation, at least one fractional digit).
+/// Exactness: `m` and `10^k` are exact `f64`s, so `m / 10^k` is the
+/// correctly rounded quotient — the same double parsing the decimal gives;
+/// with at most 15 significant digits the grid `10^-k` is coarser than the
+/// value's ulp, so that decimal is the only one of its length that round-
+/// trips, and the rounding error of `|n|·10^k` (< 0.2) cannot pick the
+/// wrong `m`. Returns `false`, writing nothing, outside the fast path.
+fn write_short_decimal(out: &mut String, n: f64) -> bool {
+    let magnitude = n.abs();
+    if magnitude == 0.0 {
+        out.push_str(if n.is_sign_negative() { "-0.0" } else { "0.0" });
+        return true;
+    }
+    if !(1e-4..1e15).contains(&magnitude) {
+        return false;
+    }
+    for (k, &scale) in POW10.iter().enumerate() {
+        let scaled = (magnitude * scale).round();
+        if scaled >= 1e15 {
+            return false;
+        }
+        if scaled / scale == magnitude {
+            if n < 0.0 {
+                out.push('-');
+            }
+            // `scaled` is an integer in `[0, 1e15)`: the cast is exact.
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            write_fixed(out, scaled as u64, k);
+            return true;
+        }
+    }
+    false
+}
+
+/// Appends `m·10^-k` in fixed notation with at least one fractional digit.
+fn write_fixed(out: &mut String, m: u64, k: usize) {
+    let mut buf = [0u8; 20];
+    let digits = digits(m, &mut buf);
+    if k == 0 {
+        out.push_str(digits);
+        out.push_str(".0");
+    } else if digits.len() > k {
+        let (int, frac) = digits.split_at(digits.len() - k);
+        out.push_str(int);
+        out.push('.');
+        out.push_str(frac);
+    } else {
+        out.push_str("0.");
+        for _ in digits.len()..k {
+            out.push('0');
+        }
+        out.push_str(digits);
+    }
+}
+
+/// Streams one JSON object: `{`, the members `members` appends through the
+/// [`ObjectWriter`], then `}`.
+pub fn write_object(out: &mut String, members: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    let mut object = ObjectWriter { out, first: true };
+    members(&mut object);
+    object.out.push('}');
+}
+
+/// Streams one JSON array: `[`, `item` applied to each of `items`, `]`.
+pub fn write_array<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// The member sink of [`write_object`]: keys in insertion order.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Appends the separator and `"key":`, returning the buffer the member's
+    /// value must be written to next.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Appends one member.
+    pub fn field<T: WriteJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        value.write_json(self.key(key));
+        self
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, out: &mut String) {
+        write_u64(out, *self);
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, out: &mut String) {
+        write_u64(out, *self as u64);
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+/// `None` is `null`.
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self, |out, item| item.write_json(out));
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,47 +329,24 @@ impl JsonValue {
     /// Serializes to a compact JSON string.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        render(self)
     }
+}
 
-    fn write(&self, out: &mut String) {
+impl WriteJson for JsonValue {
+    fn write_json(&self, out: &mut String) {
         match self {
             Self::Null => out.push_str("null"),
-            Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Self::Number(n) => {
-                if n.is_finite() {
-                    // `{:?}` is the shortest representation that round-trips.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    out.push_str("null");
+            Self::Bool(b) => b.write_json(out),
+            Self::Number(n) => write_f64(out, *n),
+            Self::Integer(n) => write_u64(out, *n),
+            Self::String(s) => write_str(out, s),
+            Self::Array(items) => items.write_json(out),
+            Self::Object(pairs) => write_object(out, |object| {
+                for (key, value) in pairs {
+                    object.field(key, value);
                 }
-            }
-            Self::Integer(n) => out.push_str(&n.to_string()),
-            Self::String(s) => write_escaped(s, out),
-            Self::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Self::Object(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
+            }),
         }
     }
 }
@@ -110,9 +369,16 @@ impl core::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// How deeply [`JsonValue::parse`] lets arrays and objects nest. The
+/// deepest document the workspace writes is about 7 levels; the bound keeps
+/// the recursive parser's stack use small and fixed whatever the input.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -158,11 +424,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -288,21 +569,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Advances past a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// One RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<JsonValue, JsonParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let leading_zero = self.peek() == Some(b'0');
+        match self.digits() {
+            0 => return Err(self.err("expected a digit")),
+            1 => {}
+            _ if leading_zero => return Err(self.err("leading zero in number")),
+            _ => {}
+        }
         let mut fractional = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after `.`"));
             }
+            fractional = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected an exponent digit"));
+            }
+            fractional = true;
         }
         let text = core::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
@@ -328,11 +633,14 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// [`JsonParseError`] with the byte offset of the first problem.
+    /// [`JsonParseError`] with the byte offset of the first problem —
+    /// including a number outside the RFC 8259 grammar (`01`, `1.`) and
+    /// arrays/objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Self, JsonParseError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = parser.value()?;
         parser.skip_ws();
@@ -444,22 +752,6 @@ impl core::fmt::Display for JsonValue {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +857,16 @@ mod tests {
             "1 2",
             "\"unterminated",
             "{\"a\":1,}",
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "[01]",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "should reject `{bad}`");
         }
@@ -588,5 +890,193 @@ mod tests {
         assert!(doc.get("missing").is_none());
         assert!(doc.as_object().is_some());
         assert!(JsonValue::Null.get("name").is_none());
+    }
+
+    #[test]
+    fn number_grammar_keeps_valid_forms() {
+        assert_eq!(JsonValue::parse("0").unwrap(), JsonValue::Integer(0));
+        assert_eq!(JsonValue::parse("-0").unwrap(), JsonValue::Number(-0.0));
+        assert_eq!(JsonValue::parse("0.5").unwrap(), JsonValue::Number(0.5));
+        assert_eq!(
+            JsonValue::parse("-0.5e-3").unwrap(),
+            JsonValue::Number(-0.5e-3)
+        );
+        assert_eq!(
+            JsonValue::parse("10E+2").unwrap(),
+            JsonValue::Number(1000.0)
+        );
+        assert_eq!(JsonValue::parse("[0,1]").unwrap().render(), "[0,1]");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = JsonValue::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.render(), nested(MAX_DEPTH));
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // A hostile line far past the limit fails fast instead of
+        // overflowing the parsing thread's stack.
+        assert!(JsonValue::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    /// splitmix64: a deterministic stream of test inputs.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn assert_writes_like_debug(v: f64) {
+        let mut out = String::new();
+        write_f64(&mut out, v);
+        let expected = if v.is_finite() {
+            format!("{v:?}")
+        } else {
+            "null".to_string()
+        };
+        assert_eq!(out, expected, "bits {:#018x}", v.to_bits());
+    }
+
+    #[test]
+    fn number_writer_matches_debug_formatting() {
+        let edges = [
+            0.0,
+            -0.0,
+            1e-4,
+            1e-4 - 1e-20,
+            1e-4 + 1e-20,
+            0.000_099_999,
+            0.000_123_456_789_012_345,
+            1e15,
+            1e15 - 0.125,
+            999_999_999_999_999.0,
+            1e15 + 1.0,
+            1e16,
+            1e16 - 2.0,
+            1e16 + 2.0,
+            4_503_599_627_370_496.0, // 2^52
+            4_503_599_627_370_497.0,
+            9_007_199_254_740_992.0, // 2^53
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            f64::from_bits(1),       // smallest subnormal
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            2017.3,
+            380.0,
+            1.28,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in edges {
+            assert_writes_like_debug(v);
+            assert_writes_like_debug(-v);
+        }
+        let mut state = 7;
+        for _ in 0..400_000 {
+            // Arbitrary bit patterns: every exponent, NaN payloads, subnormals.
+            assert_writes_like_debug(f64::from_bits(next(&mut state)));
+        }
+        for _ in 0..400_000 {
+            // Short decimals `±m·10^-k`, up to 17 significant digits, so
+            // both sides of the 15-digit fast-path limit are covered.
+            let r = next(&mut state);
+            let digits = (r % 17 + 1) as u32;
+            let m = (r >> 8) % 10u64.pow(digits);
+            let k = ((r >> 4) % 20) as i32;
+            #[allow(clippy::cast_precision_loss)]
+            let v = m as f64 / 10f64.powi(k);
+            assert_writes_like_debug(if r & 1 == 0 { v } else { -v });
+        }
+        for _ in 0..200_000 {
+            // Full-precision values spread over the fast-path range.
+            let r = next(&mut state);
+            #[allow(clippy::cast_precision_loss)]
+            let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+            let v = 10f64.powf(unit * 21.0 - 5.0);
+            assert_writes_like_debug(if r & 1 == 0 { v } else { -v });
+        }
+    }
+
+    #[test]
+    fn integer_writer_matches_display() {
+        let mut state = 11;
+        let randoms = (0..1000).map(|i| next(&mut state) >> (i % 64));
+        for n in [0, 1, 9, 10, 99, 100, u64::MAX].into_iter().chain(randoms) {
+            let mut out = String::new();
+            write_u64(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    #[test]
+    fn string_escaper_copies_runs_and_escapes_the_rest() {
+        let mut out = String::new();
+        let text = "plain \"quoted\" back\\slash\u{0}\u{1f}\n\r\t\u{7f} ü 😀 CO₂e end";
+        write_str(&mut out, text);
+        assert_eq!(
+            out,
+            "\"plain \\\"quoted\\\" back\\\\slash\\u0000\\u001f\\n\\r\\t\u{7f} ü 😀 CO₂e end\""
+        );
+        assert_eq!(JsonValue::parse(&out).unwrap(), JsonValue::from(text));
+        // Every control character, alone and between multibyte text.
+        for c in (0u8..0x20).map(char::from) {
+            let text = format!("é{c}€");
+            let mut out = String::new();
+            write_str(&mut out, &text);
+            let expected = match c {
+                '\n' => "\\n".to_string(),
+                '\r' => "\\r".to_string(),
+                '\t' => "\\t".to_string(),
+                c => format!("\\u{:04x}", c as u32),
+            };
+            assert_eq!(out, format!("\"é{expected}€\""));
+            assert_eq!(
+                JsonValue::parse(&out).unwrap(),
+                JsonValue::from(text.as_str())
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_objects_and_derived_trees_agree() {
+        struct Point {
+            x: f64,
+            label: Option<String>,
+            tags: Vec<u64>,
+        }
+        impl WriteJson for Point {
+            fn write_json(&self, out: &mut String) {
+                write_object(out, |o| {
+                    o.field("x", &self.x)
+                        .field("label", &self.label)
+                        .field("tags", &self.tags)
+                        .field("ok", &true);
+                });
+            }
+        }
+        let p = Point {
+            x: 1.5,
+            label: None,
+            tags: vec![1, 20],
+        };
+        let text = render(&p);
+        assert_eq!(text, r#"{"x":1.5,"label":null,"tags":[1,20],"ok":true}"#);
+        assert_eq!(tree(&p).render(), text);
+        assert_eq!(render(&Vec::<f64>::new()), "[]");
     }
 }

@@ -28,7 +28,7 @@ pub mod table;
 pub use experiment::{
     Experiment, ExperimentId, ExperimentOutput, Scalar, ScalarThreshold, KNOWN_EXTENSIONS,
 };
-pub use json::{JsonParseError, JsonValue};
+pub use json::{JsonParseError, JsonValue, WriteJson};
 pub use scenario::deps::{
     dedup_groups, dependency_fingerprint, FieldSource, ReadTracker, ScenarioPath,
 };

@@ -21,6 +21,7 @@ pub mod mc;
 pub mod sweep;
 pub mod trace;
 
+use crate::json::{self, JsonValue, WriteJson};
 use cc_data::energy_sources::EnergySource;
 use cc_units::{CarbonIntensity, TimeSpan};
 use deps::{FieldSource, ReadTracker};
@@ -357,7 +358,30 @@ impl Default for Scenario {
     }
 }
 
+/// The scenario as a JSON object (for `--json` artifacts): one member per
+/// field-table row, nested by section, in table order.
+impl WriteJson for Scenario {
+    fn write_json(&self, out: &mut String) {
+        fields::write_json(self, out);
+    }
+}
+
+/// The resolved scenario's JSON — byte-identical to the
+/// [`ScenarioOverlay::materialize`]d scenario's, without the clone.
+impl WriteJson for ScenarioOverlay {
+    fn write_json(&self, out: &mut String) {
+        fields::write_json(self, out);
+    }
+}
+
 impl Scenario {
+    /// The scenario's JSON as a tree, derived from its stream
+    /// ([`WriteJson`]).
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        json::tree(self)
+    }
+
     /// Sets one field by its dotted path, parsing `value` as the field's
     /// type. This backs both the TOML reader and `--set key=value` command
     /// line overrides.
@@ -1089,6 +1113,14 @@ impl RunContext {
         } else {
             self.materialized.get_or_init(|| self.overlay.materialize())
         }
+    }
+
+    /// Streams [`Self::scenario`]'s JSON straight from the overlay, so a
+    /// sweep-point context renders its artifact without materializing an
+    /// owned scenario. Reads every semantic field, like [`Self::scenario`].
+    pub fn write_scenario_json(&self, out: &mut String) {
+        self.record_all();
+        self.overlay.write_json(out);
     }
 
     /// Whether this context runs the unmodified paper scenario (used to

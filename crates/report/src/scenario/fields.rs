@@ -27,7 +27,7 @@ use super::mc::MonteCarloMatrix;
 use super::{quote, trace, unquote};
 use super::{DeviceParams, FabParams, FleetParams, GridParams, McParams};
 use super::{RegionParams, Scenario, ScenarioError, SiteParams};
-use crate::json::JsonValue;
+use crate::json::{write_array, write_f64, write_object, write_str, write_u64, WriteJson};
 use core::fmt;
 
 /// One row of the field table: a settable scenario field's metadata plus
@@ -115,7 +115,7 @@ trait Value {
     /// Whether TOML writes the canonical text as a quoted string.
     const QUOTED: bool = true;
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result;
-    fn json(&self) -> JsonValue;
+    fn write_json(&self, out: &mut String);
     /// Whether TOML omits the field because it holds nothing.
     fn unset(&self) -> bool {
         false
@@ -146,8 +146,8 @@ impl Value for f64 {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write!(out, "{self:?}")
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::from(*self)
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
     }
     fn finite(&self) -> bool {
         self.is_finite()
@@ -168,8 +168,8 @@ macro_rules! integer_value {
             fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
                 write!(out, "{self}")
             }
-            fn json(&self) -> JsonValue {
-                JsonValue::Integer(u64::from(*self))
+            fn write_json(&self, out: &mut String) {
+                write_u64(out, u64::from(*self));
             }
         }
 
@@ -189,8 +189,8 @@ impl Value for str {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         out.write_str(self)
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::from(self)
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
@@ -205,8 +205,8 @@ impl Value for Option<String> {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         out.write_str(self.as_deref().unwrap_or_default())
     }
-    fn json(&self) -> JsonValue {
-        self.as_deref().map_or(JsonValue::Null, JsonValue::from)
+    fn write_json(&self, out: &mut String) {
+        WriteJson::write_json(self, out);
     }
     fn unset(&self) -> bool {
         self.is_none()
@@ -258,8 +258,8 @@ impl Value for Vec<f64> {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write_list(out, self, ',', |out, v| write!(out, "{v:?}"))
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::array(self.iter().map(|&v| JsonValue::from(v)))
+    fn write_json(&self, out: &mut String) {
+        WriteJson::write_json(self, out);
     }
 }
 
@@ -277,11 +277,12 @@ impl Value for Vec<(String, f64)> {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write_list(out, self, ',', |out, (name, w)| write!(out, "{name}:{w:?}"))
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::object(
-            self.iter()
-                .map(|(name, w)| (name.clone(), JsonValue::from(*w))),
-        )
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            for (name, w) in self {
+                o.field(name, w);
+            }
+        });
     }
     fn unset(&self) -> bool {
         self.is_empty()
@@ -310,14 +311,14 @@ impl Value for Vec<SiteParams> {
             write!(out, "{}@{}:{:?}", s.name, s.region, s.weight)
         })
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::array(self.iter().map(|s| {
-            JsonValue::object([
-                ("name", JsonValue::from(s.name.as_str())),
-                ("region", JsonValue::from(s.region.as_str())),
-                ("weight", JsonValue::from(s.weight)),
-            ])
-        }))
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self, |out, s| {
+            write_object(out, |o| {
+                o.field("name", &s.name)
+                    .field("region", &s.region)
+                    .field("weight", &s.weight);
+            });
+        });
     }
     fn unset(&self) -> bool {
         self.is_empty()
@@ -353,13 +354,12 @@ impl Value for Vec<RegionParams> {
             r.hours.write(out)
         })
     }
-    fn json(&self) -> JsonValue {
-        JsonValue::array(self.iter().map(|r| {
-            JsonValue::object([
-                ("name", JsonValue::from(r.name.as_str())),
-                ("hours", r.hours.json()),
-            ])
-        }))
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self, |out, r| {
+            write_object(out, |o| {
+                o.field("name", &r.name).field("hours", &r.hours);
+            });
+        });
     }
     fn unset(&self) -> bool {
         self.is_empty()
@@ -384,8 +384,8 @@ impl Parse for Vec<RegionParams> {
 
 /// Declares the table: one `static` row per field, the [`FIELDS`] list in
 /// canonical order, [`lookup`], and the whole-scenario passes built from
-/// the rows ([`Scenario::paper_defaults`], [`Scenario::to_json`] and
-/// `check_bounds`). A row reads
+/// the rows ([`Scenario::paper_defaults`], the scenario JSON stream
+/// `write_json` and `check_bounds`). A row reads
 /// `CONST field: Type = default, "path" ["alias", …], "validation" if |v| bound, semantic, "doc";`
 /// where `Type` is the type the row reads the field as and the bound, when
 /// present, receives a reference to the value (f64 rows are additionally
@@ -398,9 +398,13 @@ macro_rules! scenario_fields {
     (@key $sec:ident $field:ident) => { stringify!($field) };
     (@default { : $default:expr }) => { $default };
     (@default $Sec:ident { $($field:ident: $default:expr),+ }) => { $Sec { $($field: $default),+ } };
-    (@json $s:ident $sec:ident { : $ty:ty }) => { <$ty as Value>::json(&$s.$sec) };
-    (@json $s:ident $sec:ident $Sec:ident { $($field:ident: $ty:ty),+ }) => {
-        JsonValue::object([$((stringify!($field), <$ty as Value>::json(&$s.$sec.$field))),+])
+    (@json $o:ident $s:ident $sec:ident { : $ty:ty }) => {
+        <$ty as Value>::write_json(&*$s.$sec(), $o.key(stringify!($sec)))
+    };
+    (@json $o:ident $s:ident $sec:ident $Sec:ident { $($field:ident: $ty:ty),+ }) => {
+        write_object($o.key(stringify!($sec)), |section| {
+            $(<$ty as Value>::write_json(&$s.$sec().$field, section.key(stringify!($field)));)+
+        })
     };
     ($(
         $sec:ident $(: $Sec:ident)? {$(
@@ -458,15 +462,15 @@ macro_rules! scenario_fields {
                 )+}
             }
 
-            /// The scenario as a JSON object (for `--json` artifacts): one
-            /// member per row, nested by section, in table order.
-            #[must_use]
-            pub fn to_json(&self) -> JsonValue {
-                let s = self;
-                JsonValue::object([$(
-                    (stringify!($sec), scenario_fields!(@json s $sec $($Sec)? { $($($field)?: $ty),+ })),
-                )+])
-            }
+        }
+
+        /// Streams the scenario `s` resolves to as a JSON object (for
+        /// `--json` artifacts): one member per row, nested by section, in
+        /// table order.
+        pub(super) fn write_json<S: FieldSource + ?Sized>(s: &S, out: &mut String) {
+            write_object(out, |o| {
+                $(scenario_fields!(@json o s $sec $($Sec)? { $($($field)?: $ty),+ });)+
+            });
         }
 
         /// Checks every bounded row (and the finiteness of every `f64` row),

@@ -20,7 +20,7 @@ use super::fields;
 use super::sweep::{display_value, format_value, ScenarioPoint, SweepError};
 use super::{Scenario, ScenarioOverlay};
 use crate::experiment::ScalarThreshold;
-use crate::json::JsonValue;
+use crate::json::{write_array, write_object, WriteJson};
 use crate::table::Table;
 use cc_analysis::dist::DistSpec;
 use cc_analysis::rng::{Rng, SplitMix64};
@@ -249,24 +249,19 @@ impl MonteCarloMatrix {
             overlay,
         })
     }
+}
 
-    /// The matrix's sampling parameters as a JSON object
-    /// (`samples`, `seed`, `dists`).
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("samples", JsonValue::Integer(self.samples as u64)),
-            ("seed", JsonValue::Integer(self.seed)),
-            (
-                "dists",
-                JsonValue::array(self.bindings.iter().map(|b| {
-                    JsonValue::object([
-                        ("path", JsonValue::from(b.path.as_str())),
-                        ("spec", JsonValue::from(b.spec.to_string().as_str())),
-                    ])
-                })),
-            ),
-        ])
+/// The matrix's sampling parameters as `{"samples", "seed", "dists"}`.
+impl WriteJson for MonteCarloMatrix {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("samples", &self.samples).field("seed", &self.seed);
+            write_array(o.key("dists"), &self.bindings, |out, b| {
+                write_object(out, |d| {
+                    d.field("path", &b.path).field("spec", &b.spec.to_string());
+                });
+            });
+        });
     }
 }
 
@@ -333,37 +328,30 @@ impl McComparison {
         t.row(["n".to_string(), s.n.to_string()]);
         t
     }
+}
 
-    /// The comparison as a JSON object, full precision.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
+/// The comparison as a JSON object, full precision.
+impl WriteJson for McComparison {
+    fn write_json(&self, out: &mut String) {
         let s = &self.stats;
-        JsonValue::object([
-            ("experiment", JsonValue::from(self.experiment.as_str())),
-            ("metric", JsonValue::from(self.metric.as_str())),
-            ("unit", JsonValue::from(self.unit.as_str())),
-            (
-                "threshold",
-                self.threshold
-                    .as_ref()
-                    .map_or(JsonValue::Null, ScalarThreshold::to_json),
-            ),
-            (
-                "stats",
-                JsonValue::object([
-                    ("n", JsonValue::Integer(s.n)),
-                    ("mean", JsonValue::from(s.mean)),
-                    ("stddev", JsonValue::from(s.stddev)),
-                    ("min", JsonValue::from(s.min)),
-                    ("max", JsonValue::from(s.max)),
-                    ("p05", JsonValue::from(s.p05)),
-                    ("p50", JsonValue::from(s.p50)),
-                    ("p95", JsonValue::from(s.p95)),
-                    ("ci90_half_width", JsonValue::from(s.ci90_half_width())),
-                ]),
-            ),
-            ("line", JsonValue::from(self.banded_line().as_str())),
-        ])
+        write_object(out, |o| {
+            o.field("experiment", &self.experiment)
+                .field("metric", &self.metric)
+                .field("unit", &self.unit)
+                .field("threshold", &self.threshold);
+            write_object(o.key("stats"), |st| {
+                st.field("n", &s.n)
+                    .field("mean", &s.mean)
+                    .field("stddev", &s.stddev)
+                    .field("min", &s.min)
+                    .field("max", &s.max)
+                    .field("p05", &s.p05)
+                    .field("p50", &s.p50)
+                    .field("p95", &s.p95)
+                    .field("ci90_half_width", &s.ci90_half_width());
+            });
+            o.field("line", &self.banded_line());
+        });
     }
 }
 
@@ -588,7 +576,7 @@ mod tests {
         );
         let t = c.to_table();
         assert_eq!(t.len(), 9);
-        let json = c.to_json().render();
+        let json = crate::json::render(&c);
         assert!(json.contains(r#""experiment":"ext-facility""#));
         assert!(json.contains(r#""p95":2015.4"#));
         assert!(json.contains(r#""n":10000"#));
@@ -604,7 +592,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let json = mc.to_json().render();
+        let json = crate::json::render(&mc);
         assert_eq!(
             json,
             r#"{"samples":10000,"seed":7,"dists":[{"path":"fab.node_nm","spec":"triangular(5,7,10)"}]}"#

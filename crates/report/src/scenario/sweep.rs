@@ -12,7 +12,7 @@
 use super::fields::{self, GRID_INTENSITY, GRID_SOURCE};
 use super::{Scenario, ScenarioError, ScenarioOverlay};
 use crate::experiment::ScalarThreshold;
-use crate::json::JsonValue;
+use crate::json::{self, write_array, write_object, JsonValue, WriteJson};
 use crate::table::Table;
 use cc_analysis::{crossover, stats};
 use cc_data::energy_sources::EnergySource;
@@ -230,21 +230,27 @@ impl ScenarioPoint {
         }
     }
 
-    /// The point as a JSON object (`index`, `label`, `assignments`).
+    /// The point's JSON as a tree, derived from its stream
+    /// ([`WriteJson`]).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("index", JsonValue::Integer(self.index as u64)),
-            ("label", JsonValue::from(self.display_label())),
-            (
-                "assignments",
-                JsonValue::object(
-                    self.assignments
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str()))),
-                ),
-            ),
-        ])
+        json::tree(self)
+    }
+}
+
+/// The point as `{"index", "label", "assignments"}`, the assignments an
+/// object of `path: value` strings in application order.
+impl WriteJson for ScenarioPoint {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("index", &self.index)
+                .field("label", self.display_label());
+            write_object(o.key("assignments"), |a| {
+                for (path, value) in &self.assignments {
+                    a.field(path, value);
+                }
+            });
+        });
     }
 }
 
@@ -567,82 +573,49 @@ impl Comparison {
         }
         t
     }
+}
 
-    /// The comparison as a JSON object, including per-row deltas/ratios and
-    /// the summary digest.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
+/// The comparison as a JSON object, including per-row deltas/ratios and
+/// the summary digest.
+impl WriteJson for Comparison {
+    fn write_json(&self, out: &mut String) {
         let baseline = self.baseline();
-        JsonValue::object([
-            ("experiment", JsonValue::from(self.experiment.as_str())),
-            ("metric", JsonValue::from(self.metric.as_str())),
-            ("unit", JsonValue::from(self.unit.as_str())),
-            (
-                "axis",
-                self.axis
-                    .as_deref()
-                    .map_or(JsonValue::Null, JsonValue::from),
-            ),
-            (
-                "threshold",
-                self.threshold
-                    .as_ref()
-                    .map_or(JsonValue::Null, ScalarThreshold::to_json),
-            ),
-            (
-                "crossings",
-                JsonValue::array(self.crossings().into_iter().map(|c| {
-                    JsonValue::object([
-                        ("at", JsonValue::from(c.at)),
-                        ("line", JsonValue::from(c.line.as_str())),
-                    ])
-                })),
-            ),
-            (
-                "baseline",
-                baseline.map_or(JsonValue::Null, JsonValue::from),
-            ),
-            (
-                "rows",
-                JsonValue::array(self.rows.iter().map(|row| {
-                    JsonValue::object([
-                        ("label", JsonValue::from(row.label.as_str())),
-                        ("x", row.x.map_or(JsonValue::Null, JsonValue::from)),
-                        ("value", row.value.map_or(JsonValue::Null, JsonValue::from)),
-                        (
-                            "delta",
-                            match (row.value, baseline) {
-                                (Some(v), Some(b)) => JsonValue::from(v - b),
-                                _ => JsonValue::Null,
-                            },
-                        ),
-                        (
-                            "ratio",
-                            match (row.value, baseline) {
-                                (Some(v), Some(b)) => JsonValue::from(safe_ratio(v, b)),
-                                _ => JsonValue::Null,
-                            },
-                        ),
-                    ])
-                })),
-            ),
-            (
-                "stats",
-                self.summary().map_or(JsonValue::Null, |s| {
-                    JsonValue::object([
-                        ("n", JsonValue::Integer(s.n as u64)),
-                        ("mean", JsonValue::from(s.mean)),
-                        ("stddev", JsonValue::from(s.stddev)),
-                        ("min", JsonValue::from(s.min)),
-                        ("max", JsonValue::from(s.max)),
-                        (
-                            "spread_ratio",
-                            s.spread_ratio().map_or(JsonValue::Null, JsonValue::from),
-                        ),
-                    ])
+        write_object(out, |o| {
+            o.field("experiment", &self.experiment)
+                .field("metric", &self.metric)
+                .field("unit", &self.unit)
+                .field("axis", &self.axis)
+                .field("threshold", &self.threshold);
+            write_array(o.key("crossings"), self.crossings(), |out, c| {
+                write_object(out, |c_o| {
+                    c_o.field("at", &c.at).field("line", &c.line);
+                });
+            });
+            o.field("baseline", &baseline);
+            write_array(o.key("rows"), &self.rows, |out, row| {
+                let against =
+                    |f: fn(f64, f64) -> f64| row.value.zip(baseline).map(|(v, b)| f(v, b));
+                write_object(out, |r| {
+                    r.field("label", &row.label)
+                        .field("x", &row.x)
+                        .field("value", &row.value)
+                        .field("delta", &against(|v, b| v - b))
+                        .field("ratio", &against(safe_ratio));
+                });
+            });
+            let stats = o.key("stats");
+            match self.summary() {
+                Some(s) => write_object(stats, |st| {
+                    st.field("n", &s.n)
+                        .field("mean", &s.mean)
+                        .field("stddev", &s.stddev)
+                        .field("min", &s.min)
+                        .field("max", &s.max)
+                        .field("spread_ratio", &s.spread_ratio());
                 }),
-            ),
-        ])
+                None => stats.push_str("null"),
+            }
+        });
     }
 }
 
@@ -892,7 +865,7 @@ mod tests {
         c.push("a", Some(0.0)).push("b", Some(5.0));
         let t = c.to_table();
         assert_eq!(t.rows()[1][3], "-", "NaN ratio must not leak into cells");
-        assert!(c.to_json().render().contains(r#""ratio":null"#));
+        assert!(json::render(&c).contains(r#""ratio":null"#));
     }
 
     #[test]
@@ -921,7 +894,7 @@ mod tests {
         assert_eq!(s.n, 3);
         assert_eq!(s.min, 190.0);
         assert_eq!(s.max, 2660.0);
-        let json = c.to_json().render();
+        let json = json::render(&c);
         assert!(json.contains(r#""experiment":"fig10""#));
         assert!(json.contains(r#""baseline":350.0"#));
         assert!(json.contains(r#""spread_ratio":14.0"#));
@@ -953,7 +926,7 @@ mod tests {
             .contains("breakeven-days crosses 365 days"));
         assert!(crossings[0].line.contains("one-year amortization"));
         assert!(crossings[0].line.contains("grid.intensity ≈"));
-        let json = c.to_json().render();
+        let json = json::render(&c);
         assert!(json.contains(r#""axis":"grid.intensity""#));
         assert!(json.contains(r#""crossings":[{"at":"#));
         assert!(json.contains("crosses 365 days"));
@@ -967,7 +940,7 @@ mod tests {
             .push_at("a", 1.0, Some(0.0))
             .push_at("b", 2.0, Some(10.0));
         assert!(plain.crossings().is_empty());
-        assert!(plain.to_json().render().contains(r#""crossings":[]"#));
+        assert!(json::render(&plain).contains(r#""crossings":[]"#));
 
         // Axis + threshold but the metric never brackets it.
         let mut flat = Comparison::new("x", "m", "u")
@@ -997,7 +970,7 @@ mod tests {
         assert_eq!(c.baseline(), None);
         assert_eq!(c.summary(), None);
         assert!(c.to_table().is_empty());
-        assert!(c.to_json().render().contains(r#""stats":null"#));
+        assert!(json::render(&c).contains(r#""stats":null"#));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! tooling (plotters, regression checks, the `--json` artifact writer) never
 //! has to re-parse formatted strings.
 
-use crate::json::JsonValue;
+use crate::json::{write_object, WriteJson};
 
 /// One sample of a series: a numeric x (year, sweep factor, index …), an
 /// optional category label (device name, compute unit …) and the y value.
@@ -127,28 +127,28 @@ impl Series {
     pub fn max_y(&self) -> Option<f64> {
         self.points.iter().map(|p| p.y).reduce(f64::max)
     }
+}
 
-    /// The series as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("name", JsonValue::from(self.name.as_str())),
-            ("x_label", JsonValue::from(self.x_label.as_str())),
-            ("y_label", JsonValue::from(self.y_label.as_str())),
-            (
-                "points",
-                JsonValue::array(self.points.iter().map(|p| {
-                    JsonValue::object([
-                        ("x", JsonValue::from(p.x)),
-                        (
-                            "label",
-                            p.label.as_deref().map_or(JsonValue::Null, JsonValue::from),
-                        ),
-                        ("y", JsonValue::from(p.y)),
-                    ])
-                })),
-            ),
-        ])
+/// The series as a JSON object: `name`, `x_label`, `y_label`, `points`.
+impl WriteJson for Series {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("x_label", &self.x_label)
+                .field("y_label", &self.y_label)
+                .field("points", &self.points);
+        });
+    }
+}
+
+/// A point as `{"x", "label", "y"}`; an unlabeled point has `"label":null`.
+impl WriteJson for SeriesPoint {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("x", &self.x)
+                .field("label", &self.label)
+                .field("y", &self.y);
+        });
     }
 }
 
@@ -181,7 +181,7 @@ mod tests {
     fn json_shape() {
         let mut s = Series::new("be", "scale", "days");
         s.push_labeled(1.0, "cpu", 350.0);
-        let json = s.to_json().render();
+        let json = crate::json::render(&s);
         assert!(json.contains(r#""name":"be""#));
         assert!(json.contains(r#""label":"cpu""#));
         assert!(json.contains(r#""y":350.0"#));

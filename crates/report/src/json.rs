@@ -83,24 +83,42 @@ pub fn write_str(out: &mut String, s: &str) {
 /// Appends the decimal digits of `n`, without allocating.
 pub fn write_u64(out: &mut String, n: u64) {
     let mut buf = [0u8; 20];
-    out.push_str(digits(n, &mut buf));
+    let start = put_digits(&mut buf, 20, n);
+    out.push_str(ascii(&buf[start..]));
 }
 
-/// The decimal digits of `n`, formatted into the tail of `buf`.
-fn digits(mut n: u64, buf: &mut [u8; 20]) -> &str {
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        // `n % 10 < 10`, so the cast is lossless.
-        #[allow(clippy::cast_possible_truncation)]
-        let digit = (n % 10) as u8;
-        buf[start] = b'0' + digit;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// `00`, `01`, …, `99`: two decimal digits per lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849\
+    5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/// Writes the decimal digits of `n` into `buf`, right-aligned to end just
+/// before `end`; returns where they start.
+fn put_digits(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    // Each `n % 100 < 100`, so the casts are lossless.
+    #[allow(clippy::cast_possible_truncation)]
+    let mut put_pair = |end: usize, pair: u64| {
+        let i = 2 * pair as usize;
+        buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[i..i + 2]);
+    };
+    while n >= 100 {
+        put_pair(end, n % 100);
+        n /= 100;
+        end -= 2;
     }
-    core::str::from_utf8(&buf[start..]).expect("ASCII digits")
+    if n >= 10 {
+        put_pair(end, n);
+        end - 2
+    } else {
+        #[allow(clippy::cast_possible_truncation)]
+        let digit = n as u8;
+        buf[end - 1] = b'0' + digit;
+        end - 1
+    }
+}
+
+/// Bytes this module formatted, which are ASCII.
+fn ascii(bytes: &[u8]) -> &str {
+    core::str::from_utf8(bytes).expect("formatted numbers are ASCII")
 }
 
 /// Appends `n` exactly as `format!("{n:?}")` would (the shortest decimal
@@ -120,16 +138,28 @@ const POW10: [f64; 19] = [
     1e17, 1e18,
 ];
 
+/// The decades `1e-4, 1e-3, …, 1e15`, indexed by decimal exponent + 4.
+const DECADES: [f64; 20] = [
+    1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15,
+];
+
 /// The fast path of [`write_f64`]: zero, and magnitudes in `[1e-4, 1e15)`
-/// that are an integer `m < 1e15` over `10^k`. For the smallest such `k`,
-/// `m·10^-k` is the shortest decimal that round-trips, which is what `{:?}`
-/// prints in this range (fixed notation, at least one fractional digit).
-/// Exactness: `m` and `10^k` are exact `f64`s, so `m / 10^k` is the
-/// correctly rounded quotient — the same double parsing the decimal gives;
-/// with at most 15 significant digits the grid `10^-k` is coarser than the
-/// value's ulp, so that decimal is the only one of its length that round-
-/// trips, and the rounding error of `|n|·10^k` (< 0.2) cannot pick the
-/// wrong `m`. Returns `false`, writing nothing, outside the fast path.
+/// with a decimal of at most 15 significant digits, `m·10^-k` with the
+/// smallest `k`. That is the shortest decimal that round-trips, which is
+/// what `{:?}` prints in this range (fixed notation, at least one
+/// fractional digit). Returns `false`, writing nothing, for anything else.
+///
+/// The value is scaled to 15 significant digits, `m = round(|n|·10^k)`
+/// with `k = 14 - e` for its decimal exponent `e`, and accepted only if
+/// `m < 1e15` and `m / 10^k == |n|`. The check is exact: `m` and `10^k` are
+/// exact `f64`s, so the quotient is correctly rounded, the same double
+/// parsing the decimal gives. With at most 15 significant digits the grid
+/// `10^-k` is coarser than the value's ulp, so no other decimal that short
+/// round-trips, and the rounding error of `|n|·10^k` (< 0.2) cannot pick
+/// the wrong `m`. Stripping `m`'s trailing zeros then gives the smallest
+/// `k`. A misjudged exponent (the negative decades are inexact) can only
+/// fail the check, i.e. fall back to `{:?}`.
 fn write_short_decimal(out: &mut String, n: f64) -> bool {
     let magnitude = n.abs();
     if magnitude == 0.0 {
@@ -139,43 +169,68 @@ fn write_short_decimal(out: &mut String, n: f64) -> bool {
     if !(1e-4..1e15).contains(&magnitude) {
         return false;
     }
-    for (k, &scale) in POW10.iter().enumerate() {
-        let scaled = (magnitude * scale).round();
-        if scaled >= 1e15 {
-            return false;
-        }
-        if scaled / scale == magnitude {
-            if n < 0.0 {
-                out.push('-');
-            }
-            // `scaled` is an integer in `[0, 1e15)`: the cast is exact.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            write_fixed(out, scaled as u64, k);
+    // The casts below are lossless: integers under 2^53 and an 11-bit
+    // exponent.
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        clippy::cast_possible_wrap
+    )]
+    {
+        // Whole numbers (years, counts) need no scaling.
+        let whole = magnitude as u64;
+        if whole as f64 == magnitude {
+            write_fixed(out, n < 0.0, whole, 0);
             return true;
         }
+        // floor(log10 |n|): floor(log10 2^e2) is exact via 1233/4096, and
+        // the true exponent is that or one more.
+        let e2 = ((magnitude.to_bits() >> 52) & 0x7ff) as i32 - 1023;
+        let mut e = (e2 * 1233) >> 12;
+        if magnitude >= DECADES[(e + 5) as usize] {
+            e += 1;
+        }
+        let mut k = (14 - e) as usize;
+        let scale = POW10[k];
+        // `+ 0.5` then truncation rounds: the sum is exact below 2^52.
+        let mut m = (magnitude * scale + 0.5) as u64;
+        if m >= 1_000_000_000_000_000 || m as f64 / scale != magnitude {
+            return false;
+        }
+        // At most 15 trailing zeros: strip them 8, 4, 2, 1 at a time.
+        for (step, power) in [(8, 100_000_000), (4, 10_000), (2, 100), (1, 10)] {
+            if k >= step && m.is_multiple_of(power) {
+                m /= power;
+                k -= step;
+            }
+        }
+        write_fixed(out, n < 0.0, m, k);
     }
-    false
+    true
 }
 
-/// Appends `m·10^-k` in fixed notation with at least one fractional digit.
-fn write_fixed(out: &mut String, m: u64, k: usize) {
-    let mut buf = [0u8; 20];
-    let digits = digits(m, &mut buf);
-    if k == 0 {
-        out.push_str(digits);
-        out.push_str(".0");
-    } else if digits.len() > k {
-        let (int, frac) = digits.split_at(digits.len() - k);
-        out.push_str(int);
-        out.push('.');
-        out.push_str(frac);
+/// Appends `±m·10^-k` (`m < 1e15`, `k <= 18`) in fixed notation with at
+/// least one fractional digit.
+fn write_fixed(out: &mut String, negative: bool, m: u64, k: usize) {
+    // Pre-filled with zeros: the padding between the point and a short `m`.
+    let mut buf = [b'0'; 24];
+    let mut start = if k == 0 {
+        buf[22] = b'.';
+        put_digits(&mut buf, 22, m)
     } else {
-        out.push_str("0.");
-        for _ in digits.len()..k {
-            out.push('0');
-        }
-        out.push_str(digits);
+        // At least one integer digit; shift the integer digits left to
+        // open the point's slot.
+        let digits = put_digits(&mut buf, 24, m).min(23 - k);
+        buf.copy_within(digits..24 - k, digits - 1);
+        buf[23 - k] = b'.';
+        digits - 1
+    };
+    if negative {
+        start -= 1;
+        buf[start] = b'-';
     }
+    out.push_str(ascii(&buf[start..]));
 }
 
 /// Streams one JSON object: `{`, the members `members` appends through the

@@ -27,7 +27,7 @@ use super::mc::MonteCarloMatrix;
 use super::{quote, trace, unquote};
 use super::{DeviceParams, FabParams, FleetParams, GridParams, McParams};
 use super::{RegionParams, Scenario, ScenarioError, SiteParams};
-use crate::json::{write_array, write_f64, write_object, write_str, write_u64, WriteJson};
+use crate::json::{write_object, WriteJson};
 use core::fmt;
 
 /// One row of the field table: a settable scenario field's metadata plus
@@ -107,15 +107,15 @@ pub(crate) trait FieldSink {
     fn mc(&mut self) -> &mut McParams;
 }
 
-/// How a field type reads: canonical text, JSON form and documented type.
-trait Value {
+/// How a field type reads: canonical text, JSON form ([`WriteJson`]) and
+/// documented type.
+trait Value: WriteJson {
     const TY: &'static str;
     /// Whether a Monte-Carlo draw can be assigned to the field.
     const CONTINUOUS: bool = false;
     /// Whether TOML writes the canonical text as a quoted string.
     const QUOTED: bool = true;
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result;
-    fn write_json(&self, out: &mut String);
     /// Whether TOML omits the field because it holds nothing.
     fn unset(&self) -> bool {
         false
@@ -146,9 +146,6 @@ impl Value for f64 {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write!(out, "{self:?}")
     }
-    fn write_json(&self, out: &mut String) {
-        write_f64(out, *self);
-    }
     fn finite(&self) -> bool {
         self.is_finite()
     }
@@ -168,9 +165,6 @@ macro_rules! integer_value {
             fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
                 write!(out, "{self}")
             }
-            fn write_json(&self, out: &mut String) {
-                write_u64(out, u64::from(*self));
-            }
         }
 
         impl Parse for $t {
@@ -189,9 +183,6 @@ impl Value for str {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         out.write_str(self)
     }
-    fn write_json(&self, out: &mut String) {
-        write_str(out, self);
-    }
 }
 
 impl Parse for String {
@@ -204,9 +195,6 @@ impl Value for Option<String> {
     const TY: &'static str = "string";
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         out.write_str(self.as_deref().unwrap_or_default())
-    }
-    fn write_json(&self, out: &mut String) {
-        WriteJson::write_json(self, out);
     }
     fn unset(&self) -> bool {
         self.is_none()
@@ -258,9 +246,6 @@ impl Value for Vec<f64> {
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write_list(out, self, ',', |out, v| write!(out, "{v:?}"))
     }
-    fn write_json(&self, out: &mut String) {
-        WriteJson::write_json(self, out);
-    }
 }
 
 impl Parse for Vec<f64> {
@@ -276,13 +261,6 @@ impl Value for Vec<(String, f64)> {
     const TY: &'static str = "weighted list";
     fn write(&self, out: &mut dyn fmt::Write) -> fmt::Result {
         write_list(out, self, ',', |out, (name, w)| write!(out, "{name}:{w:?}"))
-    }
-    fn write_json(&self, out: &mut String) {
-        write_object(out, |o| {
-            for (name, w) in self {
-                o.field(name, w);
-            }
-        });
     }
     fn unset(&self) -> bool {
         self.is_empty()
@@ -310,15 +288,6 @@ impl Value for Vec<SiteParams> {
         write_list(out, self, ',', |out, s| {
             write!(out, "{}@{}:{:?}", s.name, s.region, s.weight)
         })
-    }
-    fn write_json(&self, out: &mut String) {
-        write_array(out, self, |out, s| {
-            write_object(out, |o| {
-                o.field("name", &s.name)
-                    .field("region", &s.region)
-                    .field("weight", &s.weight);
-            });
-        });
     }
     fn unset(&self) -> bool {
         self.is_empty()
@@ -354,13 +323,6 @@ impl Value for Vec<RegionParams> {
             r.hours.write(out)
         })
     }
-    fn write_json(&self, out: &mut String) {
-        write_array(out, self, |out, r| {
-            write_object(out, |o| {
-                o.field("name", &r.name).field("hours", &r.hours);
-            });
-        });
-    }
     fn unset(&self) -> bool {
         self.is_empty()
     }
@@ -382,6 +344,35 @@ impl Parse for Vec<RegionParams> {
     }
 }
 
+/// Fleet mix as an object of `sku: weight`.
+impl WriteJson for Vec<(String, f64)> {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            for (name, w) in self {
+                o.field(name, w);
+            }
+        });
+    }
+}
+
+impl WriteJson for SiteParams {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("region", &self.region)
+                .field("weight", &self.weight);
+        });
+    }
+}
+
+impl WriteJson for RegionParams {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, |o| {
+            o.field("name", &self.name).field("hours", &self.hours);
+        });
+    }
+}
+
 /// Declares the table: one `static` row per field, the [`FIELDS`] list in
 /// canonical order, [`lookup`], and the whole-scenario passes built from
 /// the rows ([`Scenario::paper_defaults`], the scenario JSON stream
@@ -399,11 +390,11 @@ macro_rules! scenario_fields {
     (@default { : $default:expr }) => { $default };
     (@default $Sec:ident { $($field:ident: $default:expr),+ }) => { $Sec { $($field: $default),+ } };
     (@json $o:ident $s:ident $sec:ident { : $ty:ty }) => {
-        <$ty as Value>::write_json(&*$s.$sec(), $o.key(stringify!($sec)))
+        $o.field(stringify!($sec), $s.$sec())
     };
     (@json $o:ident $s:ident $sec:ident $Sec:ident { $($field:ident: $ty:ty),+ }) => {
         write_object($o.key(stringify!($sec)), |section| {
-            $(<$ty as Value>::write_json(&$s.$sec().$field, section.key(stringify!($field)));)+
+            $(section.field(stringify!($field), &$s.$sec().$field);)+
         })
     };
     ($(
@@ -461,7 +452,6 @@ macro_rules! scenario_fields {
                     $sec: scenario_fields!(@default $($Sec)? { $($($field)?: $default),+ }),
                 )+}
             }
-
         }
 
         /// Streams the scenario `s` resolves to as a JSON object (for

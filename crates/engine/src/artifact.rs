@@ -3,8 +3,8 @@
 //! Both front-ends must emit byte-identical artifacts for the same
 //! (experiment × scenario-point) job — the serve-smoke CI job diffs daemon
 //! output against a one-shot `repro --sweep` run file-for-file — so the
-//! rendering lives here, once. The JSON form is streamed straight into the
-//! output buffer ([`Artifact`]'s [`WriteJson`]); the server streams the same
+//! rendering lives here, once. The JSON form is streamed straight into
+//! the output buffer through [`WriteJson`]; the server streams the same
 //! bytes into its response envelope, and a client that parses the envelope
 //! and re-renders the artifact reproduces them exactly, because parsing is
 //! round-trip stable on the stream's output. [`artifact_json`] and the
@@ -47,17 +47,17 @@ impl Format {
 /// The JSON artifact for one (experiment × scenario-point) job:
 /// experiment identity and tags, the sweep-point metadata when sweeping,
 /// the full scenario, and the experiment output.
-pub struct Artifact<'a> {
+pub(crate) struct Artifact<'a> {
     /// The registry entry (key and tags).
-    pub entry: &'a Entry,
+    pub(crate) entry: &'a Entry,
     /// The experiment (title and description).
-    pub experiment: &'a dyn Experiment,
+    pub(crate) experiment: &'a dyn Experiment,
     /// The computed output.
-    pub output: &'a ExperimentOutput,
+    pub(crate) output: &'a ExperimentOutput,
     /// The context the output belongs to (the scenario member).
-    pub ctx: &'a RunContext,
+    pub(crate) ctx: &'a RunContext,
     /// The sweep point, when sweeping.
-    pub point: Option<&'a ScenarioPoint>,
+    pub(crate) point: Option<&'a ScenarioPoint>,
 }
 
 impl WriteJson for Artifact<'_> {
@@ -78,7 +78,8 @@ impl WriteJson for Artifact<'_> {
     }
 }
 
-/// The [`Artifact`] as a tree, derived from its stream.
+/// The JSON artifact for one (experiment × scenario-point) job as a tree,
+/// derived from its stream.
 #[must_use]
 pub fn artifact_json(
     entry: &Entry,

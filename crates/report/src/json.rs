@@ -64,15 +64,17 @@ pub fn write_str(out: &mut String, s: &str) {
             b'\n' => "\\n",
             b'\r' => "\\r",
             b'\t' => "\\t",
-            0..=0x1f => "\\u00",
+            0..=0x1f => "",
             _ => continue,
         };
         // Escaped bytes are ASCII, so `i` is a char boundary.
         out.push_str(&s[start..i]);
-        out.push_str(escape);
-        if b < 0x20 && !matches!(b, b'\n' | b'\r' | b'\t') {
+        if escape.is_empty() {
+            out.push_str("\\u00");
             out.push(char::from(HEX[usize::from(b >> 4)]));
             out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
         }
         start = i + 1;
     }

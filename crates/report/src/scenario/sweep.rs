@@ -586,9 +586,9 @@ impl WriteJson for Comparison {
                 .field("unit", &self.unit)
                 .field("axis", &self.axis)
                 .field("threshold", &self.threshold);
-            write_array(o.key("crossings"), self.crossings(), |out, c| {
-                write_object(out, |c_o| {
-                    c_o.field("at", &c.at).field("line", &c.line);
+            write_array(o.key("crossings"), self.crossings(), |out, crossing| {
+                write_object(out, |c| {
+                    c.field("at", &crossing.at).field("line", &crossing.line);
                 });
             });
             o.field("baseline", &baseline);

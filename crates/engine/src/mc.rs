@@ -410,6 +410,55 @@ mod tests {
     }
 
     #[test]
+    fn per_sample_results_never_churn_the_resident_cache() {
+        // ext-facility reads fleet.growth, ext-sched does not: 300 sampled
+        // ext-facility results must not evict ext-sched's one shared
+        // result, nor an artifact resident before the run, from a cache
+        // far smaller than the sample count.
+        let entries = vec![
+            experiments::find_entry("ext-facility").expect("known key"),
+            experiments::find_entry("ext-sched").expect("known key"),
+        ];
+        let mc = matrix(&["fleet.growth ~ uniform(1.2,1.4)"], 300, 7);
+        let reference = Engine::new()
+            .run_mc(
+                &entries,
+                &mc,
+                &McConfig {
+                    jobs: 1,
+                    no_cache: true,
+                },
+            )
+            .expect("uncached run");
+        let fig05 = experiments::find_entry("fig05").expect("known key");
+        let resident = (fig05.key, fig05.fingerprint(mc.base()));
+        let paper = RunContext::new(Scenario::paper_defaults());
+        for jobs in [1, 4] {
+            let engine = Engine::with_capacity(16);
+            let compute = || fig05.build().run(&paper);
+            engine.cache().get_or_compute(resident, compute);
+            let result = engine
+                .run_mc(
+                    &entries,
+                    &mc,
+                    &McConfig {
+                        jobs,
+                        no_cache: false,
+                    },
+                )
+                .expect("mc run");
+            assert_eq!(result.run_counts, vec![300, 1], "jobs {jobs}");
+            assert_eq!(result.hits, 299, "jobs {jobs}");
+            assert_eq!(result.misses, 301, "jobs {jobs}");
+            assert_eq!(result.inflight_dedups, 0, "jobs {jobs}");
+            assert_eq!(engine.stats().evictions, 0, "jobs {jobs}");
+            assert_eq!(result.comparisons, reference.comparisons, "jobs {jobs}");
+            let (_, outcome) = engine.cache().get_or_compute(resident, compute);
+            assert_eq!(outcome, Outcome::Hit, "jobs {jobs}");
+        }
+    }
+
+    #[test]
     fn out_of_range_draws_surface_as_sample_errors() {
         let entries = entry("ext-facility");
         let mc = matrix(&["fab.node_nm ~ normal(3,40)"], 200, 1);

@@ -33,8 +33,8 @@
 //! (experiment × point) jobs whose dependency fingerprints agree share one
 //! model run, scenario-independent experiments execute once per sweep and
 //! partially-dependent ones skip axes they ignore. `--no-cache` restores
-//! the one-run-per-job behavior, `--explain` prints the dedup plan without
-//! running anything, and a sweep's footer reports the per-experiment
+//! the one-run-per-job behavior, `--explain` prints the dedup plan (or a
+//! Monte-Carlo run's shared/per-sample plan) without running anything, and a sweep's footer reports the per-experiment
 //! run/reuse counts. `repro serve` keeps the same engine resident behind a
 //! TCP listener, so repeated and overlapping requests are answered from its
 //! sharded fingerprint→artifact cache.
@@ -44,6 +44,7 @@ use cc_engine::artifact::{
     artifact_file_name, render_artifact, render_comparisons, render_mc_comparisons,
 };
 use cc_engine::grid::{build_comparisons, disk_footer_lines, explain_lines, footer_lines};
+use cc_engine::mc;
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, McConfig, Server};
 use cc_report::{
     DistBinding, JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioMatrix, ScenarioPoint,
@@ -97,7 +98,8 @@ fn print_usage() {
     eprintln!("                       later run recomputes only the work groups whose");
     eprintln!("                       declared scenario fields changed");
     eprintln!("  --explain            print each experiment's scenario dependencies and");
-    eprintln!("                       the sweep's run/reuse plan, without running");
+    eprintln!("                       the sweep's (or --samples run's) run/reuse plan,");
+    eprintln!("                       without running");
     eprintln!();
     eprintln!("serve mode: a resident daemon speaking newline-delimited JSON over TCP");
     eprintln!("  (protocol v2: request ids multiplex many in-flight requests per");
@@ -284,16 +286,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
 
     // Monte-Carlo flags travel together: distributions need a sample
     // count, a sample count needs distributions, and a sampled axis has no
-    // enumerable grid to sweep or explain.
+    // enumerable grid to sweep.
     if !dists.is_empty() {
         if samples.is_none() {
             fail("distribution bindings (`path ~ dist(...)`) require --samples <n>");
         }
         if !sweeps.is_empty() {
             fail("--sweep value sweeps cannot be combined with distribution sampling");
-        }
-        if explain {
-            fail("--explain does not apply to Monte-Carlo runs");
         }
     } else {
         if samples.is_some() {
@@ -688,6 +687,12 @@ fn main() {
             options.seed,
         )
         .unwrap_or_else(|e| fail(&e.to_string()));
+        if options.explain {
+            for line in mc::explain_lines(&selected, &mc, options.no_cache) {
+                emit(line);
+            }
+            return;
+        }
         if let Some(dir) = &options.out_dir {
             std::fs::create_dir_all(dir)
                 .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));

@@ -139,7 +139,9 @@ impl Bencher {
             total += elapsed;
             min_per_iter = min_per_iter.min(elapsed / u32::try_from(batch).unwrap_or(u32::MAX));
         }
-        let mean = total / u32::try_from(iterations.max(1)).unwrap_or(u32::MAX);
+        // Round up: truncating division reports sub-nanosecond work as free.
+        let mean_ns = total.as_nanos().div_ceil(u128::from(iterations.max(1)));
+        let mean = Duration::from_nanos(u64::try_from(mean_ns).unwrap_or(u64::MAX));
         let m = Measurement {
             iterations,
             mean,

@@ -808,6 +808,45 @@ fn explain_prints_the_dependency_plan_without_running() {
 }
 
 #[test]
+fn mc_explain_plan_matches_the_run_footer() {
+    let args = [
+        "--tag",
+        "datacenter",
+        "--set",
+        "fleet.growth ~ uniform(1.2,1.4)",
+        "--samples",
+        "500",
+        "--jobs",
+        "2",
+    ];
+    let plan = stdout_of(repro().arg("--explain").args(args).output().unwrap());
+    assert!(
+        plan.starts_with("dependency plan — 6 experiments x 500 samples = 3000 jobs"),
+        "{plan}"
+    );
+    // Plan rows read `<key> <n> runs, <m> reuses   deps: …` and footer rows
+    // `cache: <key>: <n> runs, <m> reuses`, each list closed by its total.
+    let counts = |line: &str| {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let key = words[0].trim_end_matches(':');
+        (key.to_string(), words[1].to_string(), words[3].to_string())
+    };
+    let planned: Vec<_> = plan.lines().skip(1).map(counts).collect();
+    let run = stdout_of(repro().args(args).output().unwrap());
+    let footer: Vec<_> = run
+        .lines()
+        .filter_map(|line| line.strip_prefix("cache: "))
+        .map(counts)
+        .collect();
+    assert_eq!(planned, footer, "plan:\n{plan}\nrun:\n{run}");
+    let row = |key: &str, runs: &str, reuses: &str| {
+        (key.to_string(), runs.to_string(), reuses.to_string())
+    };
+    assert!(planned.contains(&row("ext-facility", "500", "0")), "{plan}");
+    assert!(planned.contains(&row("ext-sched", "1", "499")), "{plan}");
+}
+
+#[test]
 fn experiment_flag_selects_like_a_positional_key() {
     let positional = stdout_of(repro().args(["--json", "fig14"]).output().unwrap());
     let flagged = stdout_of(

@@ -307,19 +307,34 @@ pub fn explain_lines(
 ) -> Vec<String> {
     let npoints = points.len();
     let overlays: Vec<&ScenarioOverlay> = points.iter().map(|p| &p.overlay).collect();
-    let mut lines = vec![format!(
-        "dependency plan — {} x {} = {}",
-        count(entries.len(), "experiment"),
-        count(npoints, "point"),
-        count(entries.len() * npoints, "job"),
-    )];
-    let mut total_runs = 0usize;
-    for entry in entries {
-        let runs = if no_cache {
+    plan_lines(entries, npoints, "point", |entry| {
+        if no_cache {
             npoints
         } else {
             dedup_groups(&overlays, entry.deps()).len()
-        };
+        }
+    })
+}
+
+/// The `--explain` lines of a plan over `width` jobs per entry (grid
+/// points or Monte-Carlo samples, named by `unit`): a header, one line
+/// per entry with its model runs (`runs(entry)`), reuses and declared
+/// dependencies, and a total.
+pub(crate) fn plan_lines(
+    entries: &[&'static Entry],
+    width: usize,
+    unit: &str,
+    runs: impl Fn(&Entry) -> usize,
+) -> Vec<String> {
+    let mut lines = vec![format!(
+        "dependency plan — {} x {} = {}",
+        count(entries.len(), "experiment"),
+        count(width, unit),
+        count(entries.len() * width, "job"),
+    )];
+    let mut total_runs = 0usize;
+    for entry in entries {
+        let runs = runs(entry);
         total_runs += runs;
         let deps = if entry.is_scenario_independent() {
             "(scenario-independent)".to_string()
@@ -338,14 +353,14 @@ pub fn explain_lines(
             "  {:13} {:>9}, {:>9}   {}",
             entry.key,
             count(runs, "run"),
-            count(npoints - runs, "reuse"),
+            count(width - runs, "reuse"),
             deps
         ));
     }
     lines.push(format!(
         "total: {}, {}",
         count(total_runs, "run"),
-        count(entries.len() * npoints - total_runs, "reuse"),
+        count(entries.len() * width - total_runs, "reuse"),
     ));
     lines
 }

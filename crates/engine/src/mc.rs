@@ -15,17 +15,28 @@
 //! The result: byte-identical statistics for the same seed across any
 //! `--jobs` value, and across one-shot versus served runs.
 //!
-//! The cache earns its keep here: samples only perturb the fields named by
-//! the distribution bindings, so experiments whose declared dependencies
-//! don't include a sampled field collapse to a handful of distinct
-//! fingerprints — often one — and the runner answers thousands of samples
-//! from a single model run.
+//! Before sampling, the runner plans each experiment once
+//! ([`MonteCarloMatrix::moves`]): samples only perturb the fields the
+//! distribution bindings write, so an experiment whose declared
+//! dependencies cover none of them is *shared* — every sampled point
+//! fingerprints like the probe, the probe's one lookup through the
+//! resident cache answers all samples, and later samples do no fingerprint
+//! and no lookup. Every other experiment is *per-sample*: it runs straight
+//! from the sample's context, its tracked scalars are read, and the output
+//! is dropped while still hot. Per-sample results never enter the resident
+//! cache — nothing reads them again, and inserting them would evict the
+//! results that are (in a daemon, other clients' artifacts) — but with a
+//! disk cache attached they still load and store by fingerprint.
 
 use crate::cache::Outcome;
+use crate::grid::plan_lines;
 use crate::{Engine, EngineError};
 use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::Entry;
-use cc_report::{ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, ScalarThreshold};
+use cc_report::{
+    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, ScalarThreshold, ScenarioOverlay,
+    ScenarioPoint,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,20 +80,27 @@ pub struct McResult {
     /// summary scalar plus every scalar carrying a decision threshold, in
     /// entry order.
     pub comparisons: Vec<McComparison>,
-    /// Per-entry model computations (in-memory cache misses; with
-    /// `no_cache`, one per sample). Deterministic for a given engine state:
-    /// each distinct fingerprint is computed exactly once.
+    /// Per-entry model computations (or disk loads): one per sample for a
+    /// per-sample entry (and for every entry under `no_cache`), at most one
+    /// for a shared entry — none when its result was already resident.
+    /// Exact for any `jobs` value and cache capacity.
     pub run_counts: Vec<usize>,
     /// Per-entry fingerprints this process computed fresh (misses the disk
     /// cache could not answer).
     pub disk_runs: Vec<usize>,
     /// Per-entry fingerprints answered by the persistent on-disk cache.
     pub disk_hits: Vec<usize>,
-    /// Cache lookups answered from resident artifacts.
+    /// Samples a shared entry's one result answered without computing:
+    /// every sample after the probe, plus the probe when its lookup found
+    /// the result resident.
     pub hits: u64,
-    /// Cache lookups that computed (or disk-loaded) a fresh artifact.
+    /// Computations, as counted by `run_counts` (zero under `no_cache`):
+    /// every per-sample run plus each shared probe lookup that missed.
+    /// Outside `no_cache`, `hits + misses + inflight_dedups` is samples ×
+    /// entries.
     pub misses: u64,
-    /// Cache lookups deduplicated against another in-flight computation.
+    /// Shared probe lookups that waited on another request's in-flight
+    /// computation of the same result.
     pub inflight_dedups: u64,
 }
 
@@ -115,6 +133,59 @@ impl Collector {
     }
 }
 
+/// Whether `entry` runs once per sample: always under `no_cache`, and
+/// otherwise exactly when the bindings move one of its declared
+/// dependencies ([`MonteCarloMatrix::moves`]). [`Engine::run_mc`] and
+/// [`explain_lines`] share this one classification.
+fn runs_per_sample(entry: &Entry, matrix: &MonteCarloMatrix, no_cache: bool) -> bool {
+    no_cache || matrix.moves(entry.deps())
+}
+
+/// The Monte-Carlo plan for `repro --explain`, in the grid plan's format
+/// ([`crate::grid::explain_lines`]): an entry the bindings move runs once
+/// per sample, any other entry runs once and is reused by every later
+/// sample — the counts [`Engine::run_mc`] reports on a cold engine.
+#[must_use]
+pub fn explain_lines(
+    entries: &[&'static Entry],
+    matrix: &MonteCarloMatrix,
+    no_cache: bool,
+) -> Vec<String> {
+    let samples = matrix.len();
+    plan_lines(entries, samples, "sample", |entry| {
+        if runs_per_sample(entry, matrix, no_cache) {
+            samples
+        } else {
+            1
+        }
+    })
+}
+
+/// Appends the tracked metric values of `output`, in `specs` order.
+fn push_tracked(
+    values: &mut Vec<f64>,
+    entry: &Entry,
+    specs: &[MetricSpec],
+    output: &ExperimentOutput,
+    point: &ScenarioPoint,
+) -> Result<(), McError> {
+    for spec in specs {
+        let scalar = output
+            .scalars
+            .iter()
+            .find(|s| s.name == spec.name)
+            .ok_or_else(|| {
+                McError::Engine(EngineError::MissingScalarAtPoint {
+                    key: entry.key,
+                    metric: spec.name.clone(),
+                    point: point.display_label().to_string(),
+                })
+            })?;
+        values.push(scalar.value);
+    }
+    Ok(())
+}
+
 impl Engine {
     /// Pumps every sampled point of `matrix` through the selected
     /// experiments on up to `config.jobs` worker threads, digesting each
@@ -122,8 +193,11 @@ impl Engine {
     ///
     /// Sample 0 doubles as the probe that fixes each experiment's tracked
     /// metrics (its summary scalar plus any thresholded scalars — the same
-    /// rule as [`crate::grid::build_comparisons`]); the remaining samples
-    /// stream through the fingerprint cache and the reorder buffer.
+    /// rule as [`crate::grid::build_comparisons`]). A shared entry (one the
+    /// bindings do not move) is looked up in the resident cache for the
+    /// probe only, and its values answer every later sample; a per-sample
+    /// entry runs for every sample without touching the resident cache.
+    /// The remaining samples stream through the reorder buffer.
     ///
     /// # Errors
     ///
@@ -136,50 +210,58 @@ impl Engine {
         config: &McConfig,
     ) -> Result<McResult, McError> {
         let samples = matrix.len();
-        let run_counts: Vec<AtomicUsize> =
-            (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let (hits, misses, dedups) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let counters =
+            || -> Vec<AtomicUsize> { entries.iter().map(|_| AtomicUsize::new(0)).collect() };
+        let (run_counts, disk_runs, disk_hits) = (counters(), counters(), counters());
+        let misses = AtomicU64::new(0);
+        let (mut hits, mut dedups) = (0, 0);
+        let per_sample: Vec<bool> = entries
+            .iter()
+            .map(|entry| runs_per_sample(entry, matrix, config.no_cache))
+            .collect();
 
-        // One sample × one experiment: the output, from the cache when
-        // possible — the exact read-through pipeline the grid runner uses,
-        // so disk caches and resident daemons warm Monte-Carlo runs too.
-        let obtain = |entry_idx: usize,
-                      entry: &'static Entry,
-                      overlay: &cc_report::ScenarioOverlay,
-                      context: &RunContext|
-         -> Arc<ExperimentOutput> {
+        // One model run, read through the disk cache and written back to
+        // it when one is attached, so `--cache-dir` warms Monte-Carlo runs
+        // exactly as it warms grids.
+        let compute = |entry_idx: usize,
+                       entry: &Entry,
+                       overlay: &ScenarioOverlay,
+                       context: &RunContext|
+         -> ExperimentOutput {
+            run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
+            let disk = self.disk().map(|disk| (disk, entry.fingerprint(overlay)));
+            if let Some((disk, fingerprint)) = disk {
+                if let Some(stored) = disk.load(entry.key, fingerprint) {
+                    disk_hits[entry_idx].fetch_add(1, Ordering::Relaxed);
+                    return stored;
+                }
+            }
+            let fresh = entry.build().run(context);
+            if let Some((disk, fingerprint)) = disk {
+                disk.store(entry.key, fingerprint, &fresh);
+            }
+            disk_runs[entry_idx].fetch_add(1, Ordering::Relaxed);
+            fresh
+        };
+        // One per-sample result, straight from the sample's context. It is
+        // never inserted into the resident cache: nothing reads it again,
+        // and inserting it would only evict results that are read again.
+        let run_sample = |entry_idx: usize,
+                          entry: &Entry,
+                          overlay: &ScenarioOverlay,
+                          context: &RunContext|
+         -> ExperimentOutput {
             if config.no_cache {
                 run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-                return Arc::new(entry.build().run(context));
+                return entry.build().run(context);
             }
-            let fingerprint = entry.fingerprint(overlay);
-            let (output, outcome) = self.cache().get_or_compute((entry.key, fingerprint), || {
-                run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-                if let Some(disk) = self.disk() {
-                    if let Some(stored) = disk.load(entry.key, fingerprint) {
-                        disk_hits[entry_idx].fetch_add(1, Ordering::Relaxed);
-                        return stored;
-                    }
-                }
-                let fresh = entry.build().run(context);
-                if let Some(disk) = self.disk() {
-                    disk.store(entry.key, fingerprint, &fresh);
-                }
-                disk_runs[entry_idx].fetch_add(1, Ordering::Relaxed);
-                fresh
-            });
-            match outcome {
-                Outcome::Hit => hits.fetch_add(1, Ordering::Relaxed),
-                Outcome::Miss => misses.fetch_add(1, Ordering::Relaxed),
-                Outcome::InflightDedup => dedups.fetch_add(1, Ordering::Relaxed),
-            };
-            output
+            misses.fetch_add(1, Ordering::Relaxed);
+            compute(entry_idx, entry, overlay, context)
         };
 
-        // Probe with sample 0: fix each experiment's tracked metrics and
-        // collect the first sample's values while we're at it.
+        // Probe with sample 0: fix each experiment's tracked metrics,
+        // resolve every shared entry once, and collect the first sample's
+        // values while we're at it.
         let sample_error = |index: usize, e: &dyn std::fmt::Display| {
             McError::Sample(format!("sample {index}: {e}"))
         };
@@ -189,9 +271,27 @@ impl Engine {
         let probe_context =
             RunContext::try_from_overlay(probe.overlay.clone()).map_err(|e| sample_error(0, &e))?;
         let mut metric_specs: Vec<Vec<MetricSpec>> = Vec::with_capacity(entries.len());
+        // A shared entry's tracked values: its one result answers every
+        // sample, so later samples do no fingerprint and no lookup.
+        let mut shared: Vec<Option<Vec<f64>>> = Vec::with_capacity(entries.len());
         let mut first_values = Vec::new();
         for (entry_idx, entry) in entries.iter().enumerate() {
-            let output = obtain(entry_idx, entry, &probe.overlay, &probe_context);
+            let output = if per_sample[entry_idx] {
+                Arc::new(run_sample(entry_idx, entry, &probe.overlay, &probe_context))
+            } else {
+                let key = (entry.key, entry.fingerprint(&probe.overlay));
+                let (output, outcome) = self.cache().get_or_compute(key, || {
+                    compute(entry_idx, entry, &probe.overlay, &probe_context)
+                });
+                match outcome {
+                    Outcome::Hit => hits += 1,
+                    Outcome::Miss => {
+                        misses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Outcome::InflightDedup => dedups += 1,
+                }
+                output
+            };
             if output.scalars.is_empty() {
                 return Err(McError::Engine(EngineError::MissingSummaryScalar {
                     key: entry.key,
@@ -208,51 +308,48 @@ impl Engine {
                     threshold: scalar.threshold.clone(),
                 })
                 .collect();
-            first_values.extend(
-                specs
-                    .iter()
-                    .map(|spec| output.scalars.iter().find(|s| s.name == spec.name))
-                    .map(|scalar| scalar.expect("spec names come from these scalars").value),
-            );
+            let start = first_values.len();
+            push_tracked(&mut first_values, entry, &specs, &output, &probe)?;
+            shared.push((!per_sample[entry_idx]).then(|| first_values[start..].to_vec()));
             metric_specs.push(specs);
         }
+        let width = first_values.len();
 
         let collector = Mutex::new(Collector {
             next: 0,
             pending: BTreeMap::new(),
-            stats: vec![StreamingStats::new(); first_values.len()],
+            stats: vec![StreamingStats::new(); width],
         });
         collector
             .lock()
             .expect("no panics under lock")
             .complete(0, first_values);
 
-        // One sample end to end: draw the point, run (or fetch) every
+        // One sample end to end: draw the point, run every per-sample
         // experiment, pull out the tracked metric values in flat
-        // (entry-major, metric-minor) order.
+        // (entry-major, metric-minor) order. Every point is drawn and
+        // validated even when all entries are shared, so an out-of-range
+        // draw still fails the run.
         let process = |index: usize| -> Result<Vec<f64>, McError> {
             let point = matrix
                 .point(index)
                 .map_err(|e| McError::Sample(e.to_string()))?;
             let context = RunContext::try_from_overlay(point.overlay.clone())
                 .map_err(|e| sample_error(index, &e))?;
-            let mut values = Vec::new();
+            let mut values = Vec::with_capacity(width);
             for (entry_idx, entry) in entries.iter().enumerate() {
-                let output = obtain(entry_idx, entry, &point.overlay, &context);
-                for spec in &metric_specs[entry_idx] {
-                    let scalar = output
-                        .scalars
-                        .iter()
-                        .find(|s| s.name == spec.name)
-                        .ok_or_else(|| {
-                            McError::Engine(EngineError::MissingScalarAtPoint {
-                                key: entry.key,
-                                metric: spec.name.clone(),
-                                point: point.display_label().to_string(),
-                            })
-                        })?;
-                    values.push(scalar.value);
+                if let Some(fixed) = &shared[entry_idx] {
+                    values.extend_from_slice(fixed);
+                    continue;
                 }
+                let output = run_sample(entry_idx, entry, &point.overlay, &context);
+                push_tracked(
+                    &mut values,
+                    entry,
+                    &metric_specs[entry_idx],
+                    &output,
+                    &point,
+                )?;
             }
             Ok(values)
         };
@@ -300,6 +397,8 @@ impl Engine {
         if let Some((_, e)) = error.into_inner().expect("no panics under lock") {
             return Err(e);
         }
+        let reused = shared.iter().filter(|values| values.is_some()).count();
+        hits += (reused * (samples - 1)) as u64;
 
         let collector = collector.into_inner().expect("no panics under lock");
         debug_assert_eq!(collector.next, samples, "every sample accumulated");
@@ -318,17 +417,16 @@ impl Engine {
                 });
             }
         }
+        let totals =
+            |counts: Vec<AtomicUsize>| counts.into_iter().map(AtomicUsize::into_inner).collect();
         Ok(McResult {
             comparisons,
-            run_counts: run_counts
-                .into_iter()
-                .map(AtomicUsize::into_inner)
-                .collect(),
-            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
-            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
-            hits: hits.into_inner(),
+            run_counts: totals(run_counts),
+            disk_runs: totals(disk_runs),
+            disk_hits: totals(disk_hits),
+            hits,
             misses: misses.into_inner(),
-            inflight_dedups: dedups.into_inner(),
+            inflight_dedups: dedups,
         })
     }
 }
@@ -455,6 +553,60 @@ mod tests {
             assert_eq!(result.comparisons, reference.comparisons, "jobs {jobs}");
             let (_, outcome) = engine.cache().get_or_compute(resident, compute);
             assert_eq!(outcome, Outcome::Hit, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn shared_classifications_hold_for_every_entry_and_sampled_row() {
+        // A shared entry reuses the probe's result for every sample, so it
+        // must fingerprint identically at the base and at every sample; a
+        // per-sample entry must actually move.
+        let paper = Scenario::paper_defaults();
+        let mut cases: Vec<(Scenario, String)> = cc_report::scenario::deps::FIELDS
+            .iter()
+            .filter(|field| field.distribution_eligible)
+            .map(|field| {
+                let default: f64 = paper.field_value(field.path).unwrap().parse().unwrap();
+                let width = 1e-3 * default.abs().max(1.0);
+                let (low, high) = ((default - width).max(0.0), default + width);
+                (
+                    paper.clone(),
+                    format!("{} ~ uniform({low},{high})", field.path),
+                )
+            })
+            .collect();
+        let mut mixed = paper.clone();
+        mixed.set("fleet.mix", "web:0.7,ai-training:0.3").unwrap();
+        cases.push((mixed, "fleet.mix[web] ~ uniform(0.69,0.71)".to_string()));
+        cases.push((
+            paper.clone(),
+            "fleet.sites[hydro].weight ~ uniform(0.2,0.3)".to_string(),
+        ));
+        cases.push((
+            paper,
+            "grid.region.hydro.trace ~ uniform(20,30)".to_string(),
+        ));
+        for (base, text) in cases {
+            let binding = DistBinding::parse(&text).expect("valid binding");
+            let mc = MonteCarloMatrix::new(base, vec![binding], 8, 11).expect(&text);
+            let points: Vec<_> = (0..8).map(|i| mc.point(i).expect("valid draw")).collect();
+            for entry in experiments::entries() {
+                let sampled: Vec<u64> = points
+                    .iter()
+                    .map(|p| entry.fingerprint(&p.overlay))
+                    .collect();
+                if mc.moves(entry.deps()) {
+                    let distinct: std::collections::HashSet<_> = sampled.iter().collect();
+                    assert_eq!(distinct.len(), 8, "{} moves under `{text}`", entry.key);
+                } else {
+                    let at_base = entry.fingerprint(mc.base());
+                    assert!(
+                        sampled.iter().all(|&fp| fp == at_base),
+                        "{} is shared under `{text}` but its fingerprint moved",
+                        entry.key
+                    );
+                }
+            }
         }
     }
 

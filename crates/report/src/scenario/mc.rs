@@ -16,6 +16,7 @@
 //! 10⁴ scenarios whether they are generated by one thread or sixteen, in
 //! any order.
 
+use super::deps::ScenarioPath;
 use super::fields;
 use super::sweep::{display_value, format_value, ScenarioPoint, SweepError};
 use super::{Scenario, ScenarioOverlay};
@@ -190,6 +191,22 @@ impl MonteCarloMatrix {
         self.seed
     }
 
+    /// Whether sampling can move a result that depends on `deps`: some
+    /// binding writes a table row one of `deps` covers, tested with the
+    /// matcher dependency fingerprints use. When it cannot, every sampled
+    /// point fingerprints like the base scenario and one result serves the
+    /// whole run. A binding whose row cannot be resolved counts as moving
+    /// every scenario-dependent result: slower, never wrong.
+    #[must_use]
+    pub fn moves(&self, deps: &[ScenarioPath]) -> bool {
+        self.bindings
+            .iter()
+            .any(|binding| match written_row(&binding.path) {
+                Some(row) => deps.iter().any(|dep| dep.matches(row)),
+                None => !deps.is_empty(),
+            })
+    }
+
     /// Materializes sampled point `index`. Pure in `(seed, index)`: points
     /// can be generated in any order, on any thread, with identical
     /// results.
@@ -249,6 +266,25 @@ impl MonteCarloMatrix {
             overlay,
         })
     }
+}
+
+/// The canonical path of the table row a binding on `path` writes: the row
+/// itself for a path (or alias) that takes draws, the owning list row for a
+/// compound path. `None` for anything else.
+fn written_row(path: &str) -> Option<&'static str> {
+    if let Some(field) = fields::lookup(path) {
+        return field.distribution_eligible.then_some(field.path);
+    }
+    let owner = if path.starts_with("fleet.mix[") {
+        &fields::FLEET_MIX
+    } else if path.starts_with("fleet.sites[") {
+        &fields::FLEET_SITES
+    } else if path.starts_with("grid.region.") {
+        &fields::GRID_REGIONS
+    } else {
+        return None;
+    };
+    Some(owner.path)
 }
 
 /// The matrix's sampling parameters as `{"samples", "seed", "dists"}`.
@@ -420,6 +456,34 @@ mod tests {
         let err =
             MonteCarloMatrix::new(base(), vec![binding("fleet.pue ~ uniform(0.1,0.2)")], 10, 7);
         assert!(err.unwrap_err().to_string().contains("pue"));
+    }
+
+    #[test]
+    fn bindings_move_exactly_the_dependencies_covering_their_rows() {
+        let mc = |text: &str| {
+            MonteCarloMatrix::new(Scenario::paper_defaults(), vec![binding(text)], 4, 1).unwrap()
+        };
+        let deps = |paths: &[&'static str]| -> Vec<ScenarioPath> {
+            paths.iter().map(|p| ScenarioPath::of(p)).collect()
+        };
+        let growth = mc("fleet.growth ~ uniform(1.2,1.4)");
+        assert!(growth.moves(&deps(&["fleet.*"])));
+        assert!(growth.moves(&deps(&["grid.intensity", "fleet.growth"])));
+        assert!(!growth.moves(&deps(&["fleet.scale", "grid.intensity"])));
+        assert!(!growth.moves(&[]));
+        // An alias resolves to its canonical row.
+        assert!(mc("fab.node ~ triangular(5,7,10)").moves(&deps(&["fab.node_nm"])));
+        // A compound path resolves to the list row that owns it.
+        let site = mc("fleet.sites[hydro].weight ~ uniform(0.1,0.3)");
+        assert!(site.moves(&deps(&["fleet.sites"])));
+        assert!(site.moves(&deps(&["fleet.*"])));
+        assert!(!site.moves(&deps(&["fleet.scale", "grid.regions"])));
+        assert_eq!(written_row("fleet.mix[web]"), Some("fleet.mix"));
+        assert_eq!(written_row("fleet.sites[pnw]"), Some("fleet.sites"));
+        assert_eq!(written_row("grid.region.pnw.trace"), Some("grid.regions"));
+        // Rows that take no draws, and unknown paths, do not resolve.
+        assert_eq!(written_row("grid.source"), None);
+        assert_eq!(written_row("grid.nope"), None);
     }
 
     #[test]

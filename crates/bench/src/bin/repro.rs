@@ -34,10 +34,11 @@
 //! model run, scenario-independent experiments execute once per sweep and
 //! partially-dependent ones skip axes they ignore. `--no-cache` restores
 //! the one-run-per-job behavior, `--explain` prints the dedup plan (or a
-//! Monte-Carlo run's shared/per-sample plan) without running anything, and a sweep's footer reports the per-experiment
-//! run/reuse counts. `repro serve` keeps the same engine resident behind a
-//! TCP listener, so repeated and overlapping requests are answered from its
-//! sharded fingerprint→artifact cache.
+//! Monte-Carlo run's shared/per-sample plan) without running anything,
+//! and a sweep's footer reports the per-experiment run/reuse counts.
+//! `repro serve` keeps the same engine resident behind a TCP listener, so
+//! repeated and overlapping requests are answered from its sharded
+//! fingerprint→artifact cache.
 
 use cc_core::experiments::{self, Entry, Tag};
 use cc_engine::artifact::{

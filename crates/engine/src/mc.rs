@@ -210,9 +210,10 @@ impl Engine {
         config: &McConfig,
     ) -> Result<McResult, McError> {
         let samples = matrix.len();
-        let counters =
-            || -> Vec<AtomicUsize> { entries.iter().map(|_| AtomicUsize::new(0)).collect() };
-        let (run_counts, disk_runs, disk_hits) = (counters(), counters(), counters());
+        let run_counts: Vec<AtomicUsize> =
+            (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
+        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
+        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
         let misses = AtomicU64::new(0);
         let (mut hits, mut dedups) = (0, 0);
         let per_sample: Vec<bool> = entries
@@ -417,13 +418,14 @@ impl Engine {
                 });
             }
         }
-        let totals =
-            |counts: Vec<AtomicUsize>| counts.into_iter().map(AtomicUsize::into_inner).collect();
         Ok(McResult {
             comparisons,
-            run_counts: totals(run_counts),
-            disk_runs: totals(disk_runs),
-            disk_hits: totals(disk_hits),
+            run_counts: run_counts
+                .into_iter()
+                .map(AtomicUsize::into_inner)
+                .collect(),
+            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
+            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
             hits,
             misses: misses.into_inner(),
             inflight_dedups: dedups,

@@ -459,27 +459,20 @@ mod tests {
     }
 
     #[test]
-    fn bindings_move_exactly_the_dependencies_covering_their_rows() {
-        let mc = |text: &str| {
-            MonteCarloMatrix::new(Scenario::paper_defaults(), vec![binding(text)], 4, 1).unwrap()
-        };
-        let deps = |paths: &[&'static str]| -> Vec<ScenarioPath> {
-            paths.iter().map(|p| ScenarioPath::of(p)).collect()
-        };
-        let growth = mc("fleet.growth ~ uniform(1.2,1.4)");
-        assert!(growth.moves(&deps(&["fleet.*"])));
-        assert!(growth.moves(&deps(&["grid.intensity", "fleet.growth"])));
-        assert!(!growth.moves(&deps(&["fleet.scale", "grid.intensity"])));
-        assert!(!growth.moves(&[]));
-        // An alias resolves to its canonical row.
-        assert!(mc("fab.node ~ triangular(5,7,10)").moves(&deps(&["fab.node_nm"])));
-        // A compound path resolves to the list row that owns it.
-        let site = mc("fleet.sites[hydro].weight ~ uniform(0.1,0.3)");
-        assert!(site.moves(&deps(&["fleet.sites"])));
-        assert!(site.moves(&deps(&["fleet.*"])));
-        assert!(!site.moves(&deps(&["fleet.scale", "grid.regions"])));
+    fn bindings_resolve_to_the_rows_they_write() {
+        // An alias resolves to its canonical row and a compound path to the
+        // list row that owns it. The engine's soundness test checks the
+        // classification against fingerprints for every registry entry.
+        let base = Scenario::paper_defaults();
+        let node =
+            MonteCarloMatrix::new(base, vec![binding("fab.node ~ triangular(5,7,10)")], 4, 1)
+                .unwrap();
+        assert!(node.moves(&[ScenarioPath::of("fab.node_nm")]));
+        assert!(node.moves(&[ScenarioPath::of("fab.*")]));
+        assert!(!node.moves(&[ScenarioPath::of("fab.yield_factor")]));
+        assert!(!node.moves(&[]));
         assert_eq!(written_row("fleet.mix[web]"), Some("fleet.mix"));
-        assert_eq!(written_row("fleet.sites[pnw]"), Some("fleet.sites"));
+        assert_eq!(written_row("fleet.sites[pnw].weight"), Some("fleet.sites"));
         assert_eq!(written_row("grid.region.pnw.trace"), Some("grid.regions"));
         // Rows that take no draws, and unknown paths, do not resolve.
         assert_eq!(written_row("grid.source"), None);

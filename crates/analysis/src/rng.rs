@@ -8,8 +8,6 @@
 //! and the engine's sampled scenario fields alike — consumes this
 //! generator.
 
-use std::ops::Range;
-
 /// Minimal uniform-random source behind distribution sampling.
 pub trait Rng {
     /// Next raw 64-bit value.
@@ -18,11 +16,6 @@ pub trait Rng {
     /// Uniform `f64` in `[0, 1)`.
     fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform `f64` in `[range.start, range.end)`.
-    fn gen_range(&mut self, range: Range<f64>) -> f64 {
-        range.start + self.next_f64() * (range.end - range.start)
     }
 }
 
@@ -74,11 +67,11 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(7);
         let mut sum = 0.0;
         for _ in 0..10_000 {
-            let v = rng.gen_range(2.0..5.0);
-            assert!((2.0..5.0).contains(&v));
+            let v = rng.next_f64();
+            assert!((0.0..1.0).contains(&v));
             sum += v;
         }
-        // Mean of U(2, 5) is 3.5; 10k samples land well within ±0.1.
-        assert!((sum / 10_000.0 - 3.5).abs() < 0.1);
+        // Mean of U(0, 1) is 0.5; 10k samples land well within ±0.02.
+        assert!((sum / 10_000.0 - 0.5).abs() < 0.02);
     }
 }

@@ -52,6 +52,7 @@ use cc_report::{
     SweepSpec,
 };
 use std::io::{BufRead, Write as _};
+use std::path::Path;
 use std::sync::Arc;
 
 fn print_usage() {
@@ -324,9 +325,76 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
 
 /// Opens the persistent cache at `dir`, exiting with a diagnostic when the
 /// directory cannot be created.
-fn open_disk_cache(dir: &std::path::Path) -> DiskCache {
+fn open_disk_cache(dir: &Path) -> DiskCache {
     DiskCache::open(dir)
         .unwrap_or_else(|e| fail(&format!("cannot open cache dir `{}`: {e}", dir.display())))
+}
+
+/// Creates the `--out` directory, exiting with a diagnostic on failure.
+fn create_out_dir(dir: &Path) {
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
+}
+
+/// Writes `contents` to `path`, exiting with a diagnostic on failure, and
+/// returns the `wrote <path>` line announcing it.
+fn write_file(path: &Path, contents: &str) -> String {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
+    format!("wrote {}", path.display())
+}
+
+/// A throwaway engine for one run: the CLI is one request against a cold
+/// in-memory cache, warmed lazily from `--cache-dir` when given. Also
+/// creates `--out`.
+fn one_shot_engine(options: &Options) -> Engine {
+    if let Some(dir) = &options.out_dir {
+        create_out_dir(dir);
+    }
+    let mut engine = Engine::new();
+    if let Some(dir) = &options.cache_dir {
+        engine = engine.with_disk(open_disk_cache(dir));
+    }
+    engine.count_request();
+    engine
+}
+
+/// Emits a run's comparison report — to stdout, or as `<stem>.<ext>` under
+/// `--out` — then its footers: the cache footer (run/reuse counts over
+/// `width` jobs per entry) and, with `--cache-dir`, the disk footer. The
+/// footers are not part of the report itself — a cached and an uncached
+/// run must produce byte-identical reports — so they are kept off stdout in
+/// *every* JSON mode, letting JSON consumers parse stdout whether or not
+/// artifacts went to `--out`, and suppressed entirely with `--no-cache`.
+fn emit_report(
+    options: &Options,
+    selected: &[&'static Entry],
+    stem: &str,
+    report: &str,
+    width: usize,
+    [run_counts, disk_runs, disk_hits]: [&[usize]; 3],
+) {
+    match &options.out_dir {
+        None => emit(report),
+        Some(dir) => emit(write_file(
+            &dir.join(format!("{stem}.{}", options.format.extension())),
+            report,
+        )),
+    }
+    if options.no_cache {
+        return;
+    }
+    let mut footer = footer_lines(selected, width, run_counts);
+    if options.cache_dir.is_some() {
+        footer.extend(disk_footer_lines(selected, disk_runs, disk_hits));
+    }
+    for line in footer {
+        if options.format == Format::Json {
+            eprintln!("{line}");
+        } else {
+            emit(line);
+        }
+    }
 }
 
 fn select(options: &Options) -> Vec<&'static Entry> {
@@ -576,8 +644,7 @@ fn client_main(args: &[String]) {
     };
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
+        create_out_dir(dir);
     }
 
     let stream = std::net::TcpStream::connect(&addr)
@@ -607,11 +674,7 @@ fn client_main(args: &[String]) {
                             .get("name")
                             .and_then(JsonValue::as_str)
                             .unwrap_or_else(|| fail("response is missing its artifact name"));
-                        let path = dir.join(name);
-                        std::fs::write(&path, payload.render()).unwrap_or_else(|e| {
-                            fail(&format!("cannot write `{}`: {e}", path.display()))
-                        });
-                        emit(format_args!("wrote {}", path.display()));
+                        emit(write_file(&dir.join(name), &payload.render()));
                     }
                     None => emit(payload.render()),
                 }
@@ -694,15 +757,7 @@ fn main() {
             }
             return;
         }
-        if let Some(dir) = &options.out_dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
-        }
-        let mut engine = Engine::new();
-        if let Some(dir) = &options.cache_dir {
-            engine = engine.with_disk(open_disk_cache(dir));
-        }
-        engine.count_request();
+        let engine = one_shot_engine(&options);
         let config = McConfig {
             jobs: options.jobs,
             no_cache: options.no_cache,
@@ -711,35 +766,14 @@ fn main() {
             .run_mc(&selected, &mc, &config)
             .unwrap_or_else(|e| fail(&e.to_string()));
         let report = render_mc_comparisons(&result.comparisons, &mc, options.format);
-        match &options.out_dir {
-            None => emit(&report),
-            Some(dir) => {
-                let path = dir.join(format!("mc-comparison.{}", options.format.extension()));
-                std::fs::write(&path, &report)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                emit(format_args!("wrote {}", path.display()));
-            }
-        }
-        // Same footer conventions as a sweep: run/reuse counts off stdout
-        // in JSON mode, suppressed entirely with --no-cache.
-        if !options.no_cache {
-            let to_stderr = options.format == Format::Json;
-            let mut footer = footer_lines(&selected, samples, &result.run_counts);
-            if options.cache_dir.is_some() {
-                footer.extend(disk_footer_lines(
-                    &selected,
-                    &result.disk_runs,
-                    &result.disk_hits,
-                ));
-            }
-            for line in footer {
-                if to_stderr {
-                    eprintln!("{line}");
-                } else {
-                    emit(line);
-                }
-            }
-        }
+        emit_report(
+            &options,
+            &selected,
+            "mc-comparison",
+            &report,
+            samples,
+            [&result.run_counts, &result.disk_runs, &result.disk_hits],
+        );
         return;
     }
 
@@ -760,20 +794,10 @@ fn main() {
         return;
     }
 
-    if let Some(dir) = &options.out_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| fail(&format!("cannot create `{}`: {e}", dir.display())));
-    }
-
-    // A throwaway engine: the CLI is one request against a cold in-memory
-    // cache (possibly warmed lazily from `--cache-dir`). The run/reuse
-    // accounting comes from the dependency plan (group counts), so the
-    // footer is identical to what a resident engine would print.
-    let mut engine = Engine::new();
-    if let Some(dir) = &options.cache_dir {
-        engine = engine.with_disk(open_disk_cache(dir));
-    }
-    engine.count_request();
+    // The run/reuse accounting comes from the dependency plan (group
+    // counts), so the footer is identical to what a resident engine would
+    // print.
+    let engine = one_shot_engine(&options);
     let config = GridConfig {
         jobs: options.jobs,
         no_cache: options.no_cache,
@@ -781,7 +805,7 @@ fn main() {
     };
     // Renders one artifact on the worker thread, streaming it to `--out`
     // the moment the job finishes (not after the whole grid drains); the
-    // returned lines reach stdout in grid order via the engine's sequencer.
+    // returned lines reach stdout in grid order via the engine's reorder buffer.
     let render = |job: &GridJob<'_>| {
         let artifact = render_artifact(
             job.entry,
@@ -799,10 +823,7 @@ fn main() {
                     job.sweeping.then_some(job.point),
                     job.format,
                 );
-                let path = dir.join(name);
-                std::fs::write(&path, &artifact)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                vec![format!("wrote {}", path.display())]
+                vec![write_file(&dir.join(name), &artifact)]
             }
         }
     };
@@ -816,41 +837,13 @@ fn main() {
         let comparisons = build_comparisons(&selected, &points, &result.scalars, &matrix)
             .unwrap_or_else(|e| fail(&e.to_string()));
         let report = render_comparisons(&comparisons, &matrix, options.format);
-        match &options.out_dir {
-            None => emit(&report),
-            Some(dir) => {
-                let path = dir.join(format!("comparison.{}", options.format.extension()));
-                std::fs::write(&path, &report)
-                    .unwrap_or_else(|e| fail(&format!("cannot write `{}`: {e}", path.display())));
-                emit(format_args!("wrote {}", path.display()));
-            }
-        }
-
-        // Cache footer: how the dependency dedup compressed the grid. Not
-        // part of the comparison artifact itself — a cached and an uncached
-        // run must produce byte-identical comparison files — and kept off
-        // stdout in *every* JSON mode, so JSON consumers can parse stdout
-        // whether or not artifacts went to `--out`.
-        if !options.no_cache {
-            let to_stderr = options.format == Format::Json;
-            let mut footer = footer_lines(&selected, points.len(), &result.run_counts);
-            // With a persistent cache, also report what this process really
-            // recomputed versus what the warm cache dir answered — the
-            // incremental-evaluation footprint across restarts.
-            if options.cache_dir.is_some() {
-                footer.extend(disk_footer_lines(
-                    &selected,
-                    &result.disk_runs,
-                    &result.disk_hits,
-                ));
-            }
-            for line in footer {
-                if to_stderr {
-                    eprintln!("{line}");
-                } else {
-                    emit(line);
-                }
-            }
-        }
+        emit_report(
+            &options,
+            &selected,
+            "comparison",
+            &report,
+            points.len(),
+            [&result.run_counts, &result.disk_runs, &result.disk_hits],
+        );
     }
 }

@@ -370,6 +370,44 @@ fn daemon_survives_an_abruptly_dropped_connection() {
 }
 
 #[test]
+fn over_long_request_lines_are_rejected_and_the_connection_survives() {
+    let daemon = Daemon::start();
+    let (mut reader, mut stream) = daemon.connect();
+    // Fail instead of hanging if the daemon waits for a newline.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    // One byte over the cap and still unterminated: the error must arrive
+    // now, before any newline.
+    let line = vec![b'x'; cc_engine::server::MAX_REQUEST_LINE + 1];
+    stream.write_all(&line).expect("send over-long line");
+    let mut response = String::new();
+    reader
+        .read_line(&mut response)
+        .expect("error arrives unprompted");
+    let error = JsonValue::parse(response.trim_end()).expect("valid JSON");
+    assert_eq!(error.get("type").and_then(JsonValue::as_str), Some("error"));
+    assert_eq!(
+        error.get("error").and_then(JsonValue::as_str),
+        Some("malformed-request"),
+        "{response}"
+    );
+    // End the discarded line; the same connection still answers.
+    stream
+        .write_all(b"\n{\"op\":\"hello\"}\n")
+        .expect("terminate the line, then say hello");
+    response.clear();
+    reader.read_line(&mut response).expect("hello answered");
+    let hello = JsonValue::parse(response.trim_end()).expect("valid JSON");
+    assert_eq!(
+        hello.get("type").and_then(JsonValue::as_str),
+        Some("hello"),
+        "{response}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
 fn daemon_and_one_shot_cli_share_the_disk_cache_format() {
     // An artifact computed inside the daemon must be replayable by the
     // one-shot CLI from the same `--cache-dir` (and vice versa): both sides

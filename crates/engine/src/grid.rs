@@ -2,28 +2,29 @@
 //!
 //! The grid is first compressed into [`WorkGroup`]s — one per distinct
 //! `(experiment, dependency fingerprint)` — then scheduled on up to
-//! `jobs` worker threads pulling off a shared atomic cursor. Each group
-//! runs its models at most once (and, through the engine's shared cache,
-//! possibly zero times); every member point's artifact is rendered from
-//! the shared output with that point's own metadata and streamed to the
-//! caller's sink in grid order via a small reorder buffer.
+//! `jobs` worker threads by the shared worker loop. Each group's output
+//! comes from one call to the engine's obtain step as a *resident* result
+//! (or an uncached run under `no_cache`), so its models run at most once
+//! and, through the engine's shared cache, possibly zero times. Every
+//! member point's artifact is rendered from the shared output with that
+//! point's own metadata and streamed to the caller's sink in grid order
+//! via the shared reorder buffer.
 //!
 //! The renderer runs *on the worker threads* (rendering large tables is
-//! real work worth parallelizing); the sink runs under the sequencer lock,
-//! strictly in job order — exactly the contract the historical CLI had, so
-//! its stdout stays byte-identical.
+//! real work worth parallelizing); the sink runs under the reorder-buffer
+//! lock, strictly in job order — exactly the contract the historical CLI
+//! had, so its stdout stays byte-identical.
 
 use crate::artifact::Format;
-use crate::cache::Outcome;
+use crate::pipeline::{counts, for_each_index, metric_value, residency, tracked, Reorder, Tally};
 use crate::{Engine, EngineError};
 use cc_core::experiments::Entry;
 use cc_report::{
     dedup_groups, Comparison, Experiment, ExperimentOutput, RunContext, Scalar, ScenarioMatrix,
     ScenarioOverlay, ScenarioPoint,
 };
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
+use std::sync::Mutex;
 
 /// Knobs for one grid run.
 #[derive(Clone, Copy, Debug)]
@@ -129,33 +130,6 @@ pub struct GridResult {
     pub inflight_dedups: u64,
 }
 
-/// Reorder buffer between out-of-order job completion and in-order output:
-/// workers hand in `(job index, lines)`, the sequencer forwards every line
-/// whose predecessors have all arrived, buffering only the gap.
-struct Sequencer {
-    next: usize,
-    pending: BTreeMap<usize, Vec<String>>,
-}
-
-impl Sequencer {
-    fn new() -> Self {
-        Self {
-            next: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    fn complete(&mut self, index: usize, lines: Vec<String>, sink: &(dyn Fn(String) + Sync)) {
-        self.pending.insert(index, lines);
-        while let Some(lines) = self.pending.remove(&self.next) {
-            for line in lines {
-                sink(line);
-            }
-            self.next += 1;
-        }
-    }
-}
-
 impl Engine {
     /// Runs the (experiment × point) grid on up to `config.jobs` worker
     /// threads, one model run per [`WorkGroup`] at most — repeats are
@@ -179,56 +153,37 @@ impl Engine {
         S: Fn(String) + Sync,
     {
         let npoints = points.len();
-        let total = entries.len() * npoints;
         let sweeping = npoints > 1;
         let groups = build_groups(entries, points, config.no_cache);
         let mut run_counts = vec![0usize; entries.len()];
         for group in &groups {
             run_counts[group.entry_idx] += 1;
         }
-        let scalars: Vec<Mutex<Vec<Scalar>>> = (0..total).map(|_| Mutex::new(Vec::new())).collect();
-        let sequencer = Mutex::new(Sequencer::new());
-        let next_group = AtomicUsize::new(0);
-        let (hits, misses, dedups) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
+        let scalars: Vec<Mutex<Vec<Scalar>>> = (0..entries.len() * npoints)
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
+        let reorder = Mutex::new(Reorder::default());
+        let tally = Tally::new(entries.len());
+        // A group's result may be asked for again (by a later request to a
+        // resident engine), so it stays resident unless `no_cache`.
+        let residency = residency(config.no_cache, false);
 
-        // Shared by the sequential path and every worker: obtain one group's
-        // output (cache or fresh run), then render every member point's
-        // artifact (each with its own point/scenario metadata) and queue its
-        // lines for in-order delivery.
-        let process = |group: &WorkGroup| {
+        // One group end to end: obtain its output once, then render every
+        // member point's artifact (each with its own point/scenario
+        // metadata) and queue its lines for in-order delivery.
+        let Ok(()) = for_each_index(config.jobs, 0..groups.len(), |group_index| {
+            let group = &groups[group_index];
             let entry = entries[group.entry_idx];
+            let representative = group.point_idxs[0];
+            let output = self.obtain(
+                entry,
+                group.entry_idx,
+                &points[representative].overlay,
+                &contexts[representative],
+                residency,
+                &tally,
+            );
             let experiment = entry.build();
-            let representative = &contexts[group.point_idxs[0]];
-            let output: Arc<ExperimentOutput> = if config.no_cache {
-                Arc::new(experiment.run(representative))
-            } else {
-                let fingerprint = entry.fingerprint(&points[group.point_idxs[0]].overlay);
-                let (output, outcome) =
-                    self.cache().get_or_compute((entry.key, fingerprint), || {
-                        // In-memory miss: consult the persistent cache before
-                        // running models, and write back anything computed.
-                        if let Some(disk) = self.disk() {
-                            if let Some(stored) = disk.load(entry.key, fingerprint) {
-                                disk_hits[group.entry_idx].fetch_add(1, Ordering::Relaxed);
-                                return stored;
-                            }
-                        }
-                        let fresh = experiment.run(representative);
-                        if let Some(disk) = self.disk() {
-                            disk.store(entry.key, fingerprint, &fresh);
-                        }
-                        disk_runs[group.entry_idx].fetch_add(1, Ordering::Relaxed);
-                        fresh
-                    });
-                match outcome {
-                    Outcome::Hit => hits.fetch_add(1, Ordering::Relaxed),
-                    Outcome::Miss => misses.fetch_add(1, Ordering::Relaxed),
-                    Outcome::InflightDedup => dedups.fetch_add(1, Ordering::Relaxed),
-                };
-                output
-            };
             for &point_idx in &group.point_idxs {
                 let job_index = group.entry_idx * npoints + point_idx;
                 let job = GridJob {
@@ -244,31 +199,13 @@ impl Engine {
                 };
                 let lines = render(&job);
                 *scalars[job_index].lock().expect("no panics under lock") = output.scalars.clone();
-                sequencer
+                reorder
                     .lock()
                     .expect("no panics under lock")
-                    .complete(job_index, lines, &sink);
+                    .complete(job_index, lines, |lines| lines.into_iter().for_each(&sink));
             }
-        };
-
-        let workers = config.jobs.min(groups.len().max(1));
-        if workers <= 1 {
-            for group in &groups {
-                process(group);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let group_index = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(group_index) else {
-                            break;
-                        };
-                        process(group);
-                    });
-                }
-            });
-        }
+            Ok::<(), Infallible>(())
+        });
 
         GridResult {
             scalars: scalars
@@ -276,11 +213,11 @@ impl Engine {
                 .map(|slot| slot.into_inner().expect("no panics under lock"))
                 .collect(),
             run_counts,
-            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
-            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
-            hits: hits.into_inner(),
-            misses: misses.into_inner(),
-            inflight_dedups: dedups.into_inner(),
+            disk_runs: counts(tally.disk_runs),
+            disk_hits: counts(tally.disk_hits),
+            hits: tally.hits.into_inner(),
+            misses: tally.misses.into_inner(),
+            inflight_dedups: tally.inflight_dedups.into_inner(),
         }
     }
 }
@@ -373,25 +310,8 @@ pub fn footer_lines(
     npoints: usize,
     run_counts: &[usize],
 ) -> Vec<String> {
-    let mut footer: Vec<String> = entries
-        .iter()
-        .zip(run_counts)
-        .map(|(entry, &runs)| {
-            format!(
-                "cache: {}: {}, {}",
-                entry.key,
-                count(runs, "run"),
-                count(npoints - runs, "reuse")
-            )
-        })
-        .collect();
-    let total_runs: usize = run_counts.iter().sum();
-    footer.push(format!(
-        "cache: total: {}, {}",
-        count(total_runs, "run"),
-        count(entries.len() * npoints - total_runs, "reuse")
-    ));
-    footer
+    let pairs = run_counts.iter().map(|&runs| (runs, npoints - runs));
+    count_lines("cache", ["run", "reuse"], entries, pairs)
 }
 
 /// The persistent-cache footer: how many work groups each experiment had to
@@ -404,24 +324,39 @@ pub fn disk_footer_lines(
     disk_runs: &[usize],
     disk_hits: &[usize],
 ) -> Vec<String> {
-    let mut footer: Vec<String> = entries
+    let pairs = disk_runs.iter().copied().zip(disk_hits.iter().copied());
+    count_lines("disk", ["recompute", "disk hit"], entries, pairs)
+}
+
+/// One `<prefix>: <key>: <a> <noun>, <b> <noun>` line per entry, then the
+/// `<prefix>: total: …` line summing both counts.
+fn count_lines(
+    prefix: &str,
+    [first, second]: [&str; 2],
+    entries: &[&'static Entry],
+    pairs: impl Iterator<Item = (usize, usize)>,
+) -> Vec<String> {
+    let mut totals = (0, 0);
+    let mut lines: Vec<String> = entries
         .iter()
-        .enumerate()
-        .map(|(entry_idx, entry)| {
+        .zip(pairs)
+        .map(|(entry, (a, b))| {
+            totals = (totals.0 + a, totals.1 + b);
             format!(
-                "disk: {}: {}, {}",
+                "{prefix}: {}: {}, {}",
                 entry.key,
-                count(disk_runs[entry_idx], "recompute"),
-                count(disk_hits[entry_idx], "disk hit")
+                count(a, first),
+                count(b, second)
             )
         })
         .collect();
-    footer.push(format!(
-        "disk: total: {}, {}",
-        count(disk_runs.iter().sum(), "recompute"),
-        count(disk_hits.iter().sum(), "disk hit")
+    let (a, b) = totals;
+    lines.push(format!(
+        "{prefix}: total: {}, {}",
+        count(a, first),
+        count(b, second)
     ));
-    footer
+    lines
 }
 
 /// Builds the comparisons for each experiment from the scalar grid: the
@@ -455,12 +390,7 @@ pub fn build_comparisons(
             .iter()
             .find(|s| !s.is_empty())
             .ok_or(EngineError::MissingSummaryScalar { key: entry.key })?;
-        let metrics = reference
-            .iter()
-            .enumerate()
-            .filter(|(i, scalar)| *i == 0 || scalar.threshold.is_some())
-            .map(|(_, scalar)| scalar);
-        for metric in metrics {
+        for metric in tracked(reference) {
             let mut comparison = Comparison::new(entry.key, &metric.name, &metric.unit);
             if let Some(axis) = axis {
                 comparison = comparison.with_axis(axis);
@@ -469,14 +399,7 @@ pub fn build_comparisons(
                 comparison = comparison.with_threshold(threshold.clone());
             }
             for (point, point_scalars) in points.iter().zip(per_point) {
-                let scalar = point_scalars
-                    .iter()
-                    .find(|s| s.name == metric.name)
-                    .ok_or_else(|| EngineError::MissingScalarAtPoint {
-                        key: entry.key,
-                        metric: metric.name.clone(),
-                        point: point.display_label().to_string(),
-                    })?;
+                let value = metric_value(point_scalars, metric, entry.key, point)?;
                 let x = axis.and_then(|_| {
                     point
                         .assignments
@@ -484,8 +407,8 @@ pub fn build_comparisons(
                         .and_then(|(_, v)| v.parse::<f64>().ok())
                 });
                 match x {
-                    Some(x) => comparison.push_at(point.display_label(), x, Some(scalar.value)),
-                    None => comparison.push(point.display_label(), Some(scalar.value)),
+                    Some(x) => comparison.push_at(point.display_label(), x, Some(value)),
+                    None => comparison.push(point.display_label(), Some(value)),
                 };
             }
             comparisons.push(comparison);

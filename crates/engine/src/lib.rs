@@ -8,26 +8,30 @@
 //! * a **sharded, content-addressed fingerprint→artifact cache**
 //!   ([`cache::ShardedCache`]) keyed on `(experiment key,
 //!   dependency_fingerprint)` — repeated and overlapping requests are
-//!   answered from resident [`ExperimentOutput`]s, and concurrent requests
-//!   racing on the same fingerprint compute it exactly once;
-//! * the streaming **(scenario-point × experiment) grid runner**
-//!   ([`Engine::run_grid`]): workers pull fingerprint-deduplicated work
-//!   groups off a shared queue, artifacts stream out the moment they
-//!   complete, and a reorder buffer keeps the output in grid order;
+//!   answered from resident [`cc_report::ExperimentOutput`]s, and
+//!   concurrent requests racing on the same fingerprint compute it exactly
+//!   once;
+//! * an optional persistent **disk cache** ([`DiskCache`]) below it;
 //! * monotonic counters surfaced as an [`EngineStats`] snapshot.
 //!
 //! Two execution drivers sit on top of that state:
 //!
-//! * [`Engine::run_grid`] walks an *enumerated* scenario matrix, streaming
-//!   one artifact per (experiment × point) job in grid order;
+//! * [`Engine::run_grid`] walks an *enumerated* scenario matrix: workers
+//!   pull fingerprint-deduplicated work groups off a shared cursor, and
+//!   one artifact per (experiment × point) job streams out in grid order;
 //! * [`Engine::run_mc`] pumps a *sampled* [`cc_report::MonteCarloMatrix`]
-//!   through the same fingerprint/cache pipeline, digesting each tracked
-//!   metric into streaming statistics (Welford mean/variance, P² quantile
-//!   markers) so a million-sample uncertainty run holds no per-sample
-//!   state. A reorder buffer feeds the order-sensitive accumulators
-//!   strictly in sample order, making the digests byte-reproducible for a
-//!   given seed across any `--jobs` value and across one-shot versus
-//!   served runs.
+//!   through the same pipeline, digesting each tracked metric into
+//!   streaming statistics (Welford mean/variance, P² quantile markers) so
+//!   a million-sample uncertainty run holds no per-sample state. The
+//!   reorder buffer feeds the order-sensitive accumulators strictly in
+//!   sample order, making the digests byte-reproducible for a given seed
+//!   across any `--jobs` value and across one-shot versus served runs.
+//!
+//! Both share one private pipeline: one *obtain* step (fingerprint →
+//! resident cache → disk cache → model run, as far as the result's
+//! residency allows — a decision derived from each runner's plan, never a
+//! user option), one worker loop, one reorder buffer and one rule for the
+//! tracked metrics.
 //!
 //! The surrounding modules carry everything else the two front-ends share:
 //! [`artifact`] renders per-point artifacts, cross-scenario comparison
@@ -45,6 +49,7 @@ pub mod grid;
 pub mod intern;
 pub mod mc;
 pub mod persist;
+mod pipeline;
 pub mod protocol;
 pub mod server;
 
@@ -56,7 +61,7 @@ pub use mc::{McConfig, McError, McResult};
 pub use persist::DiskCache;
 pub use server::{ServeLog, Server};
 
-use cc_report::{ExperimentOutput, JsonValue, Scalar};
+use cc_report::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default total cache capacity (entries across all shards). Each entry is
@@ -94,9 +99,9 @@ impl Engine {
         }
     }
 
-    /// Attaches a persistent on-disk artifact cache. The grid runner reads
-    /// through it on in-memory misses and writes freshly computed artifacts
-    /// back, so fingerprints survive process restarts.
+    /// Attaches a persistent on-disk artifact cache. Both runners read
+    /// through it below the resident cache and write freshly computed
+    /// artifacts back, so fingerprints survive process restarts.
     #[must_use]
     pub fn with_disk(mut self, disk: DiskCache) -> Self {
         self.disk = Some(disk);
@@ -231,10 +236,3 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-/// Re-exported so front-ends can hold grid scalars without importing
-/// `cc_report` themselves.
-pub type ScalarGrid = Vec<Vec<Scalar>>;
-
-/// Convenience alias used across the grid runner and cache.
-pub type Output = ExperimentOutput;

@@ -16,30 +16,30 @@
 //! `--jobs` value, and across one-shot versus served runs.
 //!
 //! Before sampling, the runner plans each experiment once
-//! ([`MonteCarloMatrix::moves`]): samples only perturb the fields the
-//! distribution bindings write, so an experiment whose declared
-//! dependencies cover none of them is *shared* — every sampled point
-//! fingerprints like the probe, the probe's one lookup through the
-//! resident cache answers all samples, and later samples do no fingerprint
-//! and no lookup. Every other experiment is *per-sample*: it runs straight
-//! from the sample's context, its tracked scalars are read, and the output
-//! is dropped while still hot. Per-sample results never enter the resident
-//! cache — nothing reads them again, and inserting them would evict the
-//! results that are (in a daemon, other clients' artifacts) — but with a
-//! disk cache attached they still load and store by fingerprint.
+//! ([`MonteCarloMatrix::moves`]) and turns the plan into the residency the
+//! engine's one obtain step works with (the same step, worker loop and
+//! reorder buffer the grid runner uses). Samples only perturb the fields
+//! the distribution bindings write, so an experiment whose declared
+//! dependencies cover none of them is *shared*, obtained as a resident
+//! result: every sampled point fingerprints like the probe, the probe's
+//! one lookup through the resident cache answers all samples, and later
+//! samples do no fingerprint and no lookup. Every other experiment is
+//! *per-sample*, obtained as a transient result from each sample's
+//! context: its tracked scalars are read and the output is dropped while
+//! still hot. Transient results never enter the resident cache — nothing
+//! reads them again, and inserting them would evict the results that are
+//! (in a daemon, other clients' artifacts) — but with a disk cache
+//! attached they still load and store by fingerprint.
 
-use crate::cache::Outcome;
 use crate::grid::plan_lines;
+use crate::pipeline::{
+    counts, for_each_index, metric_value, residency, tracked, Reorder, Residency, Tally,
+};
 use crate::{Engine, EngineError};
 use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::Entry;
-use cc_report::{
-    ExperimentOutput, McComparison, MonteCarloMatrix, RunContext, ScalarThreshold, ScenarioOverlay,
-    ScenarioPoint,
-};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use cc_report::{McComparison, MonteCarloMatrix, RunContext, Scalar, ScenarioPoint};
+use std::sync::Mutex;
 
 /// Knobs for one Monte-Carlo run.
 #[derive(Clone, Copy, Debug)]
@@ -104,43 +104,6 @@ pub struct McResult {
     pub inflight_dedups: u64,
 }
 
-/// One tracked metric: the summary scalar or a thresholded secondary.
-struct MetricSpec {
-    name: String,
-    unit: String,
-    threshold: Option<ScalarThreshold>,
-}
-
-/// Reorder buffer between out-of-order sample completion and the
-/// order-sensitive accumulators: workers hand in `(sample index, values)`,
-/// and every value whose predecessors have all arrived is pushed into its
-/// accumulator, buffering only the gap.
-struct Collector {
-    next: usize,
-    pending: BTreeMap<usize, Vec<f64>>,
-    stats: Vec<StreamingStats>,
-}
-
-impl Collector {
-    fn complete(&mut self, index: usize, values: Vec<f64>) {
-        self.pending.insert(index, values);
-        while let Some(values) = self.pending.remove(&self.next) {
-            for (slot, value) in self.stats.iter_mut().zip(values) {
-                slot.push(value);
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// Whether `entry` runs once per sample: always under `no_cache`, and
-/// otherwise exactly when the bindings move one of its declared
-/// dependencies ([`MonteCarloMatrix::moves`]). [`Engine::run_mc`] and
-/// [`explain_lines`] share this one classification.
-fn runs_per_sample(entry: &Entry, matrix: &MonteCarloMatrix, no_cache: bool) -> bool {
-    no_cache || matrix.moves(entry.deps())
-}
-
 /// The Monte-Carlo plan for `repro --explain`, in the grid plan's format
 /// ([`crate::grid::explain_lines`]): an entry the bindings move runs once
 /// per sample, any other entry runs once and is reused by every later
@@ -153,37 +116,11 @@ pub fn explain_lines(
 ) -> Vec<String> {
     let samples = matrix.len();
     plan_lines(entries, samples, "sample", |entry| {
-        if runs_per_sample(entry, matrix, no_cache) {
-            samples
-        } else {
-            1
+        match residency(no_cache, matrix.moves(entry.deps())) {
+            Residency::Resident => 1,
+            Residency::Transient | Residency::Uncached => samples,
         }
     })
-}
-
-/// Appends the tracked metric values of `output`, in `specs` order.
-fn push_tracked(
-    values: &mut Vec<f64>,
-    entry: &Entry,
-    specs: &[MetricSpec],
-    output: &ExperimentOutput,
-    point: &ScenarioPoint,
-) -> Result<(), McError> {
-    for spec in specs {
-        let scalar = output
-            .scalars
-            .iter()
-            .find(|s| s.name == spec.name)
-            .ok_or_else(|| {
-                McError::Engine(EngineError::MissingScalarAtPoint {
-                    key: entry.key,
-                    metric: spec.name.clone(),
-                    point: point.display_label().to_string(),
-                })
-            })?;
-        values.push(scalar.value);
-    }
-    Ok(())
 }
 
 impl Engine {
@@ -194,10 +131,10 @@ impl Engine {
     /// Sample 0 doubles as the probe that fixes each experiment's tracked
     /// metrics (its summary scalar plus any thresholded scalars — the same
     /// rule as [`crate::grid::build_comparisons`]). A shared entry (one the
-    /// bindings do not move) is looked up in the resident cache for the
+    /// bindings do not move) is obtained as a resident result for the
     /// probe only, and its values answer every later sample; a per-sample
-    /// entry runs for every sample without touching the resident cache.
-    /// The remaining samples stream through the reorder buffer.
+    /// entry is obtained as a transient result for every sample. The
+    /// remaining samples stream through the reorder buffer.
     ///
     /// # Errors
     ///
@@ -210,225 +147,121 @@ impl Engine {
         config: &McConfig,
     ) -> Result<McResult, McError> {
         let samples = matrix.len();
-        let run_counts: Vec<AtomicUsize> =
-            (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_runs: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let disk_hits: Vec<AtomicUsize> = (0..entries.len()).map(|_| AtomicUsize::new(0)).collect();
-        let misses = AtomicU64::new(0);
-        let (mut hits, mut dedups) = (0, 0);
-        let per_sample: Vec<bool> = entries
+        let tally = Tally::new(entries.len());
+        // An entry is read once per sample exactly when the bindings move
+        // one of its declared dependencies — the classification
+        // [`explain_lines`] prints.
+        let plan: Vec<Residency> = entries
             .iter()
-            .map(|entry| runs_per_sample(entry, matrix, config.no_cache))
+            .map(|entry| residency(config.no_cache, matrix.moves(entry.deps())))
             .collect();
-
-        // One model run, read through the disk cache and written back to
-        // it when one is attached, so `--cache-dir` warms Monte-Carlo runs
-        // exactly as it warms grids.
-        let compute = |entry_idx: usize,
-                       entry: &Entry,
-                       overlay: &ScenarioOverlay,
-                       context: &RunContext|
-         -> ExperimentOutput {
-            run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-            let disk = self.disk().map(|disk| (disk, entry.fingerprint(overlay)));
-            if let Some((disk, fingerprint)) = disk {
-                if let Some(stored) = disk.load(entry.key, fingerprint) {
-                    disk_hits[entry_idx].fetch_add(1, Ordering::Relaxed);
-                    return stored;
-                }
-            }
-            let fresh = entry.build().run(context);
-            if let Some((disk, fingerprint)) = disk {
-                disk.store(entry.key, fingerprint, &fresh);
-            }
-            disk_runs[entry_idx].fetch_add(1, Ordering::Relaxed);
-            fresh
-        };
-        // One per-sample result, straight from the sample's context. It is
-        // never inserted into the resident cache: nothing reads it again,
-        // and inserting it would only evict results that are read again.
-        let run_sample = |entry_idx: usize,
-                          entry: &Entry,
-                          overlay: &ScenarioOverlay,
-                          context: &RunContext|
-         -> ExperimentOutput {
-            if config.no_cache {
-                run_counts[entry_idx].fetch_add(1, Ordering::Relaxed);
-                return entry.build().run(context);
-            }
-            misses.fetch_add(1, Ordering::Relaxed);
-            compute(entry_idx, entry, overlay, context)
+        let draw = |index: usize| -> Result<(ScenarioPoint, RunContext), McError> {
+            let point = matrix
+                .point(index)
+                .map_err(|e| McError::Sample(e.to_string()))?;
+            let context = RunContext::try_from_overlay(point.overlay.clone())
+                .map_err(|e| McError::Sample(format!("sample {index}: {e}")))?;
+            Ok((point, context))
         };
 
         // Probe with sample 0: fix each experiment's tracked metrics,
         // resolve every shared entry once, and collect the first sample's
         // values while we're at it.
-        let sample_error = |index: usize, e: &dyn std::fmt::Display| {
-            McError::Sample(format!("sample {index}: {e}"))
-        };
-        let probe = matrix
-            .point(0)
-            .map_err(|e| McError::Sample(e.to_string()))?;
-        let probe_context =
-            RunContext::try_from_overlay(probe.overlay.clone()).map_err(|e| sample_error(0, &e))?;
-        let mut metric_specs: Vec<Vec<MetricSpec>> = Vec::with_capacity(entries.len());
+        let (probe, probe_context) = draw(0)?;
+        let mut metrics: Vec<Vec<Scalar>> = Vec::with_capacity(entries.len());
         // A shared entry's tracked values: its one result answers every
         // sample, so later samples do no fingerprint and no lookup.
         let mut shared: Vec<Option<Vec<f64>>> = Vec::with_capacity(entries.len());
         let mut first_values = Vec::new();
         for (entry_idx, entry) in entries.iter().enumerate() {
-            let output = if per_sample[entry_idx] {
-                Arc::new(run_sample(entry_idx, entry, &probe.overlay, &probe_context))
-            } else {
-                let key = (entry.key, entry.fingerprint(&probe.overlay));
-                let (output, outcome) = self.cache().get_or_compute(key, || {
-                    compute(entry_idx, entry, &probe.overlay, &probe_context)
-                });
-                match outcome {
-                    Outcome::Hit => hits += 1,
-                    Outcome::Miss => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Outcome::InflightDedup => dedups += 1,
-                }
-                output
-            };
+            let output = self.obtain(
+                entry,
+                entry_idx,
+                &probe.overlay,
+                &probe_context,
+                plan[entry_idx],
+                &tally,
+            );
             if output.scalars.is_empty() {
                 return Err(McError::Engine(EngineError::MissingSummaryScalar {
                     key: entry.key,
                 }));
             }
-            let specs: Vec<MetricSpec> = output
-                .scalars
-                .iter()
-                .enumerate()
-                .filter(|(i, scalar)| *i == 0 || scalar.threshold.is_some())
-                .map(|(_, scalar)| MetricSpec {
-                    name: scalar.name.clone(),
-                    unit: scalar.unit.clone(),
-                    threshold: scalar.threshold.clone(),
-                })
-                .collect();
-            let start = first_values.len();
-            push_tracked(&mut first_values, entry, &specs, &output, &probe)?;
-            shared.push((!per_sample[entry_idx]).then(|| first_values[start..].to_vec()));
-            metric_specs.push(specs);
+            let tracked: Vec<Scalar> = tracked(&output.scalars).cloned().collect();
+            let values: Vec<f64> = tracked.iter().map(|scalar| scalar.value).collect();
+            first_values.extend_from_slice(&values);
+            shared.push((plan[entry_idx] == Residency::Resident).then_some(values));
+            metrics.push(tracked);
         }
         let width = first_values.len();
 
-        let collector = Mutex::new(Collector {
-            next: 0,
-            pending: BTreeMap::new(),
-            stats: vec![StreamingStats::new(); width],
-        });
-        collector
-            .lock()
-            .expect("no panics under lock")
-            .complete(0, first_values);
+        let digests = Mutex::new((Reorder::default(), vec![StreamingStats::new(); width]));
+        let accumulate = |index: usize, values: Vec<f64>| {
+            let mut digests = digests.lock().expect("no panics under lock");
+            let (reorder, stats) = &mut *digests;
+            reorder.complete(index, values, |values| {
+                for (slot, value) in stats.iter_mut().zip(values) {
+                    slot.push(value);
+                }
+            });
+        };
+        accumulate(0, first_values);
 
-        // One sample end to end: draw the point, run every per-sample
-        // experiment, pull out the tracked metric values in flat
+        // Every other sample end to end: draw the point, obtain every
+        // per-sample experiment, pull out the tracked metric values in flat
         // (entry-major, metric-minor) order. Every point is drawn and
         // validated even when all entries are shared, so an out-of-range
         // draw still fails the run.
-        let process = |index: usize| -> Result<Vec<f64>, McError> {
-            let point = matrix
-                .point(index)
-                .map_err(|e| McError::Sample(e.to_string()))?;
-            let context = RunContext::try_from_overlay(point.overlay.clone())
-                .map_err(|e| sample_error(index, &e))?;
+        for_each_index(config.jobs, 1..samples, |index| {
+            let (point, context) = draw(index)?;
             let mut values = Vec::with_capacity(width);
             for (entry_idx, entry) in entries.iter().enumerate() {
                 if let Some(fixed) = &shared[entry_idx] {
                     values.extend_from_slice(fixed);
                     continue;
                 }
-                let output = run_sample(entry_idx, entry, &point.overlay, &context);
-                push_tracked(
-                    &mut values,
+                let output = self.obtain(
                     entry,
-                    &metric_specs[entry_idx],
-                    &output,
-                    &point,
-                )?;
-            }
-            Ok(values)
-        };
-
-        // Workers pull sample indices off a shared cursor; the first error
-        // (lowest sample index wins, for a stable diagnostic) raises the
-        // stop flag and the run drains.
-        let next_sample = AtomicUsize::new(1);
-        let stop = AtomicBool::new(false);
-        let error: Mutex<Option<(usize, McError)>> = Mutex::new(None);
-        let work = || loop {
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let index = next_sample.fetch_add(1, Ordering::Relaxed);
-            if index >= samples {
-                break;
-            }
-            match process(index) {
-                Ok(values) => collector
-                    .lock()
-                    .expect("no panics under lock")
-                    .complete(index, values),
-                Err(e) => {
-                    let mut slot = error.lock().expect("no panics under lock");
-                    if slot.as_ref().is_none_or(|(prior, _)| index < *prior) {
-                        *slot = Some((index, e));
-                    }
-                    stop.store(true, Ordering::Relaxed);
-                    break;
+                    entry_idx,
+                    &point.overlay,
+                    &context,
+                    plan[entry_idx],
+                    &tally,
+                );
+                for metric in &metrics[entry_idx] {
+                    let value = metric_value(&output.scalars, metric, entry.key, &point);
+                    values.push(value.map_err(McError::Engine)?);
                 }
             }
-        };
-        let workers = config.jobs.clamp(1, samples);
-        if workers <= 1 {
-            work();
-        } else {
-            let work = &work;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
-        }
-        if let Some((_, e)) = error.into_inner().expect("no panics under lock") {
-            return Err(e);
-        }
+            accumulate(index, values);
+            Ok(())
+        })?;
+        // Every sample after the probe reused each shared entry's values.
         let reused = shared.iter().filter(|values| values.is_some()).count();
-        hits += (reused * (samples - 1)) as u64;
 
-        let collector = collector.into_inner().expect("no panics under lock");
-        debug_assert_eq!(collector.next, samples, "every sample accumulated");
-        let mut stats = collector.stats.into_iter();
+        let (_, stats) = digests.into_inner().expect("no panics under lock");
+        let mut stats = stats.into_iter();
         let mut comparisons = Vec::new();
-        for (entry_idx, entry) in entries.iter().enumerate() {
-            for spec in &metric_specs[entry_idx] {
+        for (entry, metrics) in entries.iter().zip(metrics) {
+            for metric in metrics {
                 let digest = stats.next().expect("one accumulator per metric");
-                let summary = digest.summary().expect("at least one sample");
                 comparisons.push(McComparison {
                     experiment: entry.key.to_string(),
-                    metric: spec.name.clone(),
-                    unit: spec.unit.clone(),
-                    threshold: spec.threshold.clone(),
-                    stats: summary,
+                    metric: metric.name,
+                    unit: metric.unit,
+                    threshold: metric.threshold,
+                    stats: digest.summary().expect("at least one sample"),
                 });
             }
         }
         Ok(McResult {
             comparisons,
-            run_counts: run_counts
-                .into_iter()
-                .map(AtomicUsize::into_inner)
-                .collect(),
-            disk_runs: disk_runs.into_iter().map(AtomicUsize::into_inner).collect(),
-            disk_hits: disk_hits.into_iter().map(AtomicUsize::into_inner).collect(),
-            hits,
-            misses: misses.into_inner(),
-            inflight_dedups: dedups,
+            run_counts: counts(tally.runs),
+            disk_runs: counts(tally.disk_runs),
+            disk_hits: counts(tally.disk_hits),
+            hits: tally.hits.into_inner() + (reused * (samples - 1)) as u64,
+            misses: tally.misses.into_inner(),
+            inflight_dedups: tally.inflight_dedups.into_inner(),
         })
     }
 }
@@ -436,6 +269,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Outcome;
     use cc_core::experiments;
     use cc_report::{DistBinding, Scenario};
 

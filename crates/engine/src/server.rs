@@ -40,7 +40,7 @@ use crate::Engine;
 use cc_report::json::write_object;
 use cc_report::JsonValue;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,6 +49,13 @@ use std::sync::{Arc, Condvar, Mutex};
 /// connection. Beyond it the daemon answers `overloaded` instead of
 /// buffering more work.
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
+
+/// The longest request line the daemon accepts, in bytes, newline
+/// excluded. A longer line is answered with one `malformed-request` error
+/// as soon as it crosses the cap, and its remainder is discarded without
+/// being buffered, so one unterminated line cannot grow the daemon's
+/// memory without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Worker threads per connection are capped independently of `max_jobs`
 /// (which bounds *within*-request parallelism): the pool exists for
@@ -384,7 +391,7 @@ struct Connection<'a> {
 /// daemon-wide shutdown flag and drains: `Server::run` joins every handler
 /// thread, and a client that holds its connection open across a shutdown
 /// must not pin the daemon alive. Partial lines survive a timeout tick —
-/// `read_line` appends to the same buffer on the next attempt.
+/// the next read appends to the same buffer.
 fn handle_connection(
     engine: &Engine,
     stream: TcpStream,
@@ -456,7 +463,9 @@ fn read_loop(
 ) {
     let writer = connection.writer;
     let mut reader = BufReader::new(reader);
-    let mut buffer = String::new();
+    let mut line = Vec::new();
+    // Set while the rest of an over-long line is read and dropped.
+    let mut skipping = false;
     loop {
         // Out of pipelined input: push buffered responses before blocking
         // so a serial client sees its reply immediately, while a burst of
@@ -464,7 +473,10 @@ fn read_loop(
         if !reader.buffer().contains(&b'\n') {
             writer.flush();
         }
-        match reader.read_line(&mut buffer) {
+        // Never hold more than the cap plus one byte of a line: reaching
+        // that without a newline is what marks the line over-long.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {}
             Err(e)
@@ -482,15 +494,31 @@ fn read_loop(
             }
             Err(_) => break,
         }
+        // Short of the cap, a read without a newline ended at end of input:
+        // that final unterminated line is still a request.
+        let complete = line.ends_with(b"\n");
+        if skipping || (!complete && line.len() > MAX_REQUEST_LINE) {
+            if !skipping {
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let error = ProtocolError::new("malformed-request", message);
+                writer.send(&Route::default().error(&error));
+            }
+            skipping = !complete;
+            line.clear();
+            continue;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
         // Parse in place and clear — the buffer's allocation is reused for
         // every request line on this connection instead of being handed off
         // (and reallocated) per line.
-        if buffer.trim().is_empty() {
-            buffer.clear();
+        if text.trim().is_empty() {
+            line.clear();
             continue;
         }
-        let frame = parse_frame(&buffer);
-        buffer.clear();
+        let frame = parse_frame(text);
+        line.clear();
         let frame = match frame {
             Err(rejected) => {
                 let route = Route {
@@ -769,31 +797,29 @@ fn execute_resolved(
 ) -> Result<RunOutcome, ProtocolError> {
     let engine = connection.engine;
     let writer = connection.writer;
+    let jobs = request.jobs.unwrap_or(1).min(connection.max_jobs);
+    let invalid = |error: &dyn std::fmt::Display| ProtocolError {
+        category: "invalid-scenario",
+        message: error.to_string(),
+    };
+    // The run's one comparison line, named like the CLI's `--out` file.
+    let send_comparison = |stem: &str, comparison: JsonValue| {
+        let name = JsonValue::from(format!("{stem}.{}", Format::Json.extension()));
+        let rest = vec![("name", name), ("comparison", comparison)];
+        writer.send(&route.line("comparison", rest));
+    };
     if let Some(mc) = &resolved.mc {
         // Monte-Carlo: no per-sample artifact lines (a million-sample run
         // must not stream a million envelopes) — one comparison line with
         // the banded digests, then done.
         let config = McConfig {
-            jobs: request.jobs.unwrap_or(1).min(connection.max_jobs),
+            jobs,
             no_cache: request.no_cache,
         };
         let result = engine
             .run_mc(&resolved.entries, mc, &config)
-            .map_err(|error| ProtocolError {
-                category: "invalid-scenario",
-                message: error.to_string(),
-            })?;
-        let envelope = route.line(
-            "comparison",
-            vec![
-                (
-                    "name",
-                    JsonValue::from(format!("mc-comparison.{}", Format::Json.extension())),
-                ),
-                ("comparison", mc_comparison_json(&result.comparisons, mc)),
-            ],
-        );
-        writer.send(&envelope);
+            .map_err(|e| invalid(&e))?;
+        send_comparison("mc-comparison", mc_comparison_json(&result.comparisons, mc));
         return Ok(RunOutcome {
             experiments: resolved.entries.len() as u64,
             points: resolved.points.len() as u64,
@@ -805,7 +831,7 @@ fn execute_resolved(
         });
     }
     let config = GridConfig {
-        jobs: request.jobs.unwrap_or(1).min(connection.max_jobs),
+        jobs,
         no_cache: request.no_cache,
         format: Format::Json,
     };
@@ -839,24 +865,11 @@ fn execute_resolved(
             &result.scalars,
             &resolved.matrix,
         )
-        .map_err(|error| ProtocolError {
-            category: "invalid-scenario",
-            message: error.to_string(),
-        })?;
-        let envelope = route.line(
+        .map_err(|e| invalid(&e))?;
+        send_comparison(
             "comparison",
-            vec![
-                (
-                    "name",
-                    JsonValue::from(format!("comparison.{}", Format::Json.extension())),
-                ),
-                (
-                    "comparison",
-                    comparison_json(&comparisons, &resolved.matrix),
-                ),
-            ],
+            comparison_json(&comparisons, &resolved.matrix),
         );
-        writer.send(&envelope);
     }
     Ok(RunOutcome {
         experiments: resolved.entries.len() as u64,

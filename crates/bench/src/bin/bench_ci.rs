@@ -31,7 +31,7 @@
 use cc_bench::harness::Report;
 use cc_bench::Bencher;
 use cc_core::experiments;
-use cc_engine::{Engine, McConfig, Server};
+use cc_engine::{Engine, McConfig, Server, DEFAULT_CACHE_CAPACITY};
 use cc_report::{
     dedup_groups, DistBinding, JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioMatrix,
     ScenarioOverlay, SweepSpec,
@@ -122,8 +122,9 @@ fn main() {
     // fingerprint → cache → streaming-statistics pipeline. The sampled
     // field is outside ext-facility's dependencies, so the model runs once
     // and the bench isolates the per-sample machinery (model-run cost is
-    // already tracked by facility/paper-run).
-    let mc_engine = Engine::new();
+    // already tracked by facility/paper-run). The engine is the resident
+    // one, so after the first iteration that one run is a cache hit.
+    let mc_engine = Engine::resident(DEFAULT_CACHE_CAPACITY);
     let mc_entries = vec![experiments::find_entry("ext-facility").expect("registry")];
     let mc_matrix = MonteCarloMatrix::new(
         Scenario::paper_defaults(),
@@ -147,8 +148,9 @@ fn main() {
     // Serve hot path: a resident daemon on loopback TCP, one persistent
     // client connection, cache pre-warmed so every measured request is the
     // full protocol round-trip (parse → validate → cache hit → render →
-    // stream) without model runs.
-    let engine = Arc::new(Engine::new());
+    // stream) without model runs. The engine is the resident one `repro
+    // serve` builds.
+    let engine = Arc::new(Engine::resident(DEFAULT_CACHE_CAPACITY));
     let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 8).unwrap_or_else(|e| {
         eprintln!("bench-ci: cannot bind loopback server: {e}");
         std::process::exit(1);
@@ -233,7 +235,8 @@ fn main() {
     // Backpressure fast path: a zero-depth queue sheds every multiplexed
     // request with a structured `overloaded` error instead of buffering,
     // so rejection must stay far cheaper than service.
-    let overload_server = Server::bind("127.0.0.1:0", Arc::new(Engine::new()), 2)
+    let overload_engine = Arc::new(Engine::resident(DEFAULT_CACHE_CAPACITY));
+    let overload_server = Server::bind("127.0.0.1:0", overload_engine, 2)
         .unwrap_or_else(|e| {
             eprintln!("bench-ci: cannot bind overload server: {e}");
             std::process::exit(1);

@@ -344,9 +344,10 @@ fn write_file(path: &Path, contents: &str) -> String {
     format!("wrote {}", path.display())
 }
 
-/// A throwaway engine for one run: the CLI is one request against a cold
-/// in-memory cache, warmed lazily from `--cache-dir` when given. Also
-/// creates `--out`.
+/// The one-shot engine for one run: it keeps nothing resident, since one
+/// run obtains each (experiment, fingerprint) once and no later run in
+/// this process could reuse it. With `--cache-dir` every result is loaded
+/// from and stored to the disk cache instead. Also creates `--out`.
 fn one_shot_engine(options: &Options) -> Engine {
     if let Some(dir) = &options.out_dir {
         create_out_dir(dir);
@@ -466,7 +467,7 @@ fn serve_main(args: &[String]) {
         }
     }
     let addr = addr.unwrap_or_else(|| fail("serve requires --addr <host:port>"));
-    let mut engine = Engine::with_capacity(capacity);
+    let mut engine = Engine::resident(capacity);
     if let Some(dir) = &cache_dir {
         // The daemon and the one-shot CLI share the same on-disk format, so
         // artifacts computed by either warm the other.

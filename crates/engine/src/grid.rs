@@ -3,12 +3,14 @@
 //! The grid is first compressed into [`WorkGroup`]s — one per distinct
 //! `(experiment, dependency fingerprint)` — then scheduled on up to
 //! `jobs` worker threads by the shared worker loop. Each group's output
-//! comes from one call to the engine's obtain step as a *resident* result
-//! (or an uncached run under `no_cache`), so its models run at most once
-//! and, through the engine's shared cache, possibly zero times. Every
-//! member point's artifact is rendered from the shared output with that
-//! point's own metadata and streamed to the caller's sink in grid order
-//! via the shared reorder buffer.
+//! comes from one call to the engine's obtain step, so its models run at
+//! most once. On the daemon's resident engine the group is a *resident*
+//! result, which a later request may answer with zero model runs; on the
+//! one-shot engine it is *transient* (disk cache only), since no later
+//! lookup in the process could hit; under `no_cache` it is an uncached
+//! run. Every member point's artifact is rendered from the shared output
+//! with that point's own metadata and streamed to the caller's sink in
+//! grid order via the shared reorder buffer.
 //!
 //! The renderer runs *on the worker threads* (rendering large tables is
 //! real work worth parallelizing); the sink runs under the reorder-buffer
@@ -121,9 +123,12 @@ pub struct GridResult {
     /// Per-entry groups answered by the persistent on-disk cache. Always
     /// zero when the engine has no disk cache attached.
     pub disk_hits: Vec<usize>,
-    /// Cache lookups this grid answered from resident artifacts.
+    /// Cache lookups this grid answered from resident artifacts. Always
+    /// zero on a one-shot engine, which keeps nothing resident.
     pub hits: u64,
-    /// Cache lookups this grid computed fresh.
+    /// Cache lookups this grid computed fresh. On a one-shot engine every
+    /// work group counts as one miss, so this is the group count (zero
+    /// under `no_cache`).
     pub misses: u64,
     /// Cache lookups this grid deduplicated against another in-flight
     /// computation.
@@ -132,9 +137,10 @@ pub struct GridResult {
 
 impl Engine {
     /// Runs the (experiment × point) grid on up to `config.jobs` worker
-    /// threads, one model run per [`WorkGroup`] at most — repeats are
-    /// answered from the engine's resident cache (unless `no_cache`), and
-    /// concurrent grids racing on a fingerprint compute it exactly once.
+    /// threads, one model run per [`WorkGroup`] at most. On a resident
+    /// engine (unless `no_cache`) repeats are answered from the resident
+    /// cache, and concurrent grids racing on a fingerprint compute it
+    /// exactly once.
     ///
     /// `render` turns each job into output lines *on the worker thread*;
     /// `sink` receives those lines strictly in grid order
@@ -164,9 +170,9 @@ impl Engine {
             .collect();
         let reorder = Mutex::new(Reorder::default());
         let tally = Tally::new(entries.len());
-        // A group's result may be asked for again (by a later request to a
-        // resident engine), so it stays resident unless `no_cache`.
-        let residency = residency(config.no_cache, false);
+        // Every group is a distinct (entry, fingerprint), so only a later
+        // request to a resident engine can ask for its result again.
+        let residency = residency(config.no_cache, self.resident, false);
 
         // One group end to end: obtain its output once, then render every
         // member point's artifact (each with its own point/scenario
@@ -452,7 +458,7 @@ mod tests {
 
     #[test]
     fn repeated_grid_is_served_from_cache() {
-        let engine = Engine::new();
+        let engine = Engine::resident(crate::DEFAULT_CACHE_CAPACITY);
         let (entries, _matrix, points, contexts) =
             grid(&["fig10"], &["grid.intensity=100,300,500"]);
         let config = GridConfig {
@@ -476,7 +482,7 @@ mod tests {
 
     #[test]
     fn no_cache_bypasses_the_resident_cache() {
-        let engine = Engine::new();
+        let engine = Engine::resident(crate::DEFAULT_CACHE_CAPACITY);
         let (entries, _matrix, points, contexts) = grid(&["fig05"], &["grid.intensity=100,300"]);
         let config = GridConfig {
             jobs: 2,

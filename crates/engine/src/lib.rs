@@ -1,16 +1,18 @@
 //! # cc-engine
 //!
-//! The resident experiment-execution engine behind both the one-shot
-//! `repro` CLI and the long-running `repro serve` daemon.
+//! The experiment-execution engine behind both the one-shot `repro` CLI
+//! and the long-running `repro serve` daemon.
 //!
 //! [`Engine`] owns the shared state a sweep service needs:
 //!
 //! * a **sharded, content-addressed fingerprint→artifact cache**
 //!   ([`cache::ShardedCache`]) keyed on `(experiment key,
-//!   dependency_fingerprint)` — repeated and overlapping requests are
+//!   dependency_fingerprint)` — on the daemon's *resident* engine
+//!   ([`Engine::resident`]), repeated and overlapping requests are
 //!   answered from resident [`cc_report::ExperimentOutput`]s, and
 //!   concurrent requests racing on the same fingerprint compute it exactly
-//!   once;
+//!   once; the CLI's *one-shot* engine ([`Engine::new`]) keeps nothing
+//!   resident, since no later run in its process could read it;
 //! * an optional persistent **disk cache** ([`DiskCache`]) below it;
 //! * monotonic counters surfaced as an [`EngineStats`] snapshot.
 //!
@@ -29,9 +31,10 @@
 //!
 //! Both share one private pipeline: one *obtain* step (fingerprint →
 //! resident cache → disk cache → model run, as far as the result's
-//! residency allows — a decision derived from each runner's plan, never a
-//! user option), one worker loop, one reorder buffer and one rule for the
-//! tracked metrics.
+//! residency allows — a decision derived from each runner's plan and from
+//! whether the engine keeps results between runs, never a user option),
+//! one worker loop, one reorder buffer and one rule for the tracked
+//! metrics.
 //!
 //! The surrounding modules carry everything else the two front-ends share:
 //! [`artifact`] renders per-point artifacts, cross-scenario comparison
@@ -64,35 +67,58 @@ pub use server::{ServeLog, Server};
 use cc_report::JsonValue;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default total cache capacity (entries across all shards). Each entry is
-/// one `ExperimentOutput` — tables and series for one experiment at one
+/// Default capacity (entries across all shards) of the resident engine
+/// `repro serve` builds, [`Engine::resident`]. Each entry is one
+/// `ExperimentOutput` — tables and series for one experiment at one
 /// fingerprint — so even a few thousand stay cheap; the bound exists so a
-/// long-lived daemon sweeping many axes cannot grow without limit.
+/// long-lived daemon sweeping many axes cannot grow without limit. The
+/// one-shot engine's runners admit nothing, so the bound never binds
+/// there.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// The resident execution engine: the sharded artifact cache plus
-/// engine-level counters. One `Engine` is shared (via `Arc`) by every
-/// connection of a `repro serve` daemon; the CLI builds a throwaway one per
-/// invocation.
+/// The execution engine: the sharded artifact cache, an optional disk
+/// cache and engine-level counters. It comes in two kinds that differ only
+/// in whether [`Engine::run_grid`] and [`Engine::run_mc`] admit results to
+/// the resident cache:
+///
+/// * the **one-shot** engine ([`Engine::new`]), built by `repro` for one
+///   invocation, keeps nothing resident: one run already obtains each
+///   `(experiment, fingerprint)` once, so no later lookup in the process
+///   could hit. Its results pass through the disk cache only, and its
+///   [`EngineStats`] cache counters stay at zero;
+/// * the **resident** engine ([`Engine::resident`]), shared (via `Arc`) by
+///   every connection of a `repro serve` daemon, admits each grid group
+///   and shared Monte-Carlo result on first sight, so served repeats hit.
 pub struct Engine {
     cache: ShardedCache,
+    /// Whether the runners admit results to `cache` for later runs.
+    resident: bool,
     disk: Option<DiskCache>,
     intern: ScenarioInterner,
     requests: AtomicU64,
 }
 
 impl Engine {
-    /// An engine with the [`DEFAULT_CACHE_CAPACITY`].
+    /// The one-shot engine: its runners never admit a result to the
+    /// resident cache. [`Engine::cache`] still exists, empty, with the
+    /// [`DEFAULT_CACHE_CAPACITY`], for callers that use it directly.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CACHE_CAPACITY)
+        Self::build(DEFAULT_CACHE_CAPACITY, false)
     }
 
-    /// An engine whose cache holds at most `capacity` artifacts.
+    /// The resident engine `repro serve` builds: its runners keep grid
+    /// groups and shared Monte-Carlo results in a cache of at most
+    /// `capacity` artifacts, so later runs reuse them.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub fn resident(capacity: usize) -> Self {
+        Self::build(capacity, true)
+    }
+
+    fn build(capacity: usize, resident: bool) -> Self {
         Self {
             cache: ShardedCache::new(capacity),
+            resident,
             disk: None,
             intern: ScenarioInterner::new(intern::DEFAULT_INTERN_CAPACITY),
             requests: AtomicU64::new(0),
@@ -100,8 +126,9 @@ impl Engine {
     }
 
     /// Attaches a persistent on-disk artifact cache. Both runners read
-    /// through it below the resident cache and write freshly computed
-    /// artifacts back, so fingerprints survive process restarts.
+    /// through it below the resident cache (on the one-shot engine, in its
+    /// place) and write freshly computed artifacts back, so fingerprints
+    /// survive process restarts.
     #[must_use]
     pub fn with_disk(mut self, disk: DiskCache) -> Self {
         self.disk = Some(disk);
@@ -114,7 +141,8 @@ impl Engine {
         self.disk.as_ref()
     }
 
-    /// The shared fingerprint→artifact cache.
+    /// The shared fingerprint→artifact cache (never filled by the runners
+    /// of a one-shot engine).
     #[must_use]
     pub fn cache(&self) -> &ShardedCache {
         &self.cache

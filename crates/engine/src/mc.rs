@@ -20,21 +20,20 @@
 //! engine's one obtain step works with (the same step, worker loop and
 //! reorder buffer the grid runner uses). Samples only perturb the fields
 //! the distribution bindings write, so an experiment whose declared
-//! dependencies cover none of them is *shared*, obtained as a resident
-//! result: every sampled point fingerprints like the probe, the probe's
-//! one lookup through the resident cache answers all samples, and later
-//! samples do no fingerprint and no lookup. Every other experiment is
-//! *per-sample*, obtained as a transient result from each sample's
-//! context: its tracked scalars are read and the output is dropped while
-//! still hot. Transient results never enter the resident cache — nothing
-//! reads them again, and inserting them would evict the results that are
-//! (in a daemon, other clients' artifacts) — but with a disk cache
-//! attached they still load and store by fingerprint.
+//! dependencies cover none of them is *shared*: every sampled point
+//! fingerprints like the probe, the probe's one result answers all
+//! samples, and later samples do no fingerprint and no lookup. On the
+//! daemon's resident engine that result is resident, so a later request
+//! reuses it; on the one-shot engine it is transient. Every other
+//! experiment is *per-sample*, obtained as a transient result from each
+//! sample's context: its tracked scalars are read and the output is
+//! dropped while still hot. Transient results never enter the resident
+//! cache — nothing reads them again, and inserting them would evict the
+//! results that are (in a daemon, other clients' artifacts) — but with a
+//! disk cache attached they still load and store by fingerprint.
 
 use crate::grid::plan_lines;
-use crate::pipeline::{
-    counts, for_each_index, metric_value, residency, tracked, Reorder, Residency, Tally,
-};
+use crate::pipeline::{counts, for_each_index, metric_value, residency, tracked, Reorder, Tally};
 use crate::{Engine, EngineError};
 use cc_analysis::stats::StreamingStats;
 use cc_core::experiments::Entry;
@@ -116,11 +115,19 @@ pub fn explain_lines(
 ) -> Vec<String> {
     let samples = matrix.len();
     plan_lines(entries, samples, "sample", |entry| {
-        match residency(no_cache, matrix.moves(entry.deps())) {
-            Residency::Resident => 1,
-            Residency::Transient | Residency::Uncached => samples,
+        if shared_entry(entry, matrix, no_cache) {
+            1
+        } else {
+            samples
         }
     })
+}
+
+/// Whether one result of `entry` answers every sample of `matrix`: the
+/// bindings move none of its declared dependencies, and `no_cache` does
+/// not ask for a model run per sample.
+fn shared_entry(entry: &Entry, matrix: &MonteCarloMatrix, no_cache: bool) -> bool {
+    !no_cache && !matrix.moves(entry.deps())
 }
 
 impl Engine {
@@ -131,10 +138,11 @@ impl Engine {
     /// Sample 0 doubles as the probe that fixes each experiment's tracked
     /// metrics (its summary scalar plus any thresholded scalars — the same
     /// rule as [`crate::grid::build_comparisons`]). A shared entry (one the
-    /// bindings do not move) is obtained as a resident result for the
-    /// probe only, and its values answer every later sample; a per-sample
-    /// entry is obtained as a transient result for every sample. The
-    /// remaining samples stream through the reorder buffer.
+    /// bindings do not move) is obtained for the probe only — as a
+    /// resident result on a resident engine — and its values answer every
+    /// later sample; a per-sample entry is obtained as a transient result
+    /// for every sample. The remaining samples stream through the reorder
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -148,12 +156,16 @@ impl Engine {
     ) -> Result<McResult, McError> {
         let samples = matrix.len();
         let tally = Tally::new(entries.len());
-        // An entry is read once per sample exactly when the bindings move
-        // one of its declared dependencies — the classification
-        // [`explain_lines`] prints.
-        let plan: Vec<Residency> = entries
+        // An entry is shared unless the bindings move one of its declared
+        // dependencies (or `no_cache`) — the classification [`explain_lines`]
+        // prints. Every other entry is read once per sample.
+        let is_shared: Vec<bool> = entries
             .iter()
-            .map(|entry| residency(config.no_cache, matrix.moves(entry.deps())))
+            .map(|entry| shared_entry(entry, matrix, config.no_cache))
+            .collect();
+        let plan: Vec<_> = is_shared
+            .iter()
+            .map(|&shared| residency(config.no_cache, self.resident, !shared))
             .collect();
         let draw = |index: usize| -> Result<(ScenarioPoint, RunContext), McError> {
             let point = matrix
@@ -190,7 +202,7 @@ impl Engine {
             let tracked: Vec<Scalar> = tracked(&output.scalars).cloned().collect();
             let values: Vec<f64> = tracked.iter().map(|scalar| scalar.value).collect();
             first_values.extend_from_slice(&values);
-            shared.push((plan[entry_idx] == Residency::Resident).then_some(values));
+            shared.push(is_shared[entry_idx].then_some(values));
             metrics.push(tracked);
         }
         let width = first_values.len();
@@ -368,7 +380,7 @@ mod tests {
         let resident = (fig05.key, fig05.fingerprint(mc.base()));
         let paper = RunContext::new(Scenario::paper_defaults());
         for jobs in [1, 4] {
-            let engine = Engine::with_capacity(16);
+            let engine = Engine::resident(16);
             let compute = || fig05.build().run(&paper);
             engine.cache().get_or_compute(resident, compute);
             let result = engine

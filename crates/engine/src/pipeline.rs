@@ -26,18 +26,21 @@ pub(crate) enum Residency {
     Uncached,
 }
 
-/// The residency decision, derived from a runner's plan and never a user
-/// option: `no_cache` caches nothing; a result only one job of the run
-/// reads (a Monte-Carlo entry the sampled bindings move) is transient,
-/// since admitting it would only evict results that are read again; every
-/// other result — a grid group, a shared Monte-Carlo entry — is resident.
-pub(crate) fn residency(no_cache: bool, read_once: bool) -> Residency {
+/// The residency decision, derived from a runner's plan and from the
+/// engine, never a user option: `no_cache` caches nothing; a result is
+/// resident only when the engine keeps results between runs
+/// (`keeps_results`: the daemon's engine) and more than one job of the run
+/// reads it (a grid group, a shared Monte-Carlo entry). Every other result
+/// is transient: on a one-shot engine no later run could read it, and a
+/// result only one job reads (a Monte-Carlo entry the sampled bindings
+/// move) would only evict results that are read again.
+pub(crate) fn residency(no_cache: bool, keeps_results: bool, read_once: bool) -> Residency {
     if no_cache {
         Residency::Uncached
-    } else if read_once {
-        Residency::Transient
-    } else {
+    } else if keeps_results && !read_once {
         Residency::Resident
+    } else {
+        Residency::Transient
     }
 }
 
@@ -226,9 +229,12 @@ pub(crate) fn metric_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskCache, Format, GridConfig, McConfig};
-    use cc_core::experiments::find_entry;
+    use crate::artifact::{render_artifact, render_comparisons, render_mc_comparisons};
+    use crate::grid::build_comparisons;
+    use crate::{DiskCache, Format, GridConfig, McConfig, DEFAULT_CACHE_CAPACITY};
+    use cc_core::experiments::{find_entry, with_tags, Tag};
     use cc_report::{DistBinding, MonteCarloMatrix, Scenario, ScenarioMatrix, SweepSpec};
+    use std::path::Path;
 
     #[test]
     fn worker_loop_reports_the_lowest_failing_index() {
@@ -242,7 +248,7 @@ mod tests {
     fn no_cache_bypasses_an_attached_disk_cache() {
         let dir = std::env::temp_dir().join(format!("cc-pipeline-no-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = Engine::new().with_disk(DiskCache::open(&dir).expect("cache dir"));
+        let engine = fresh_engine(true, Some(&dir));
         let entries = vec![
             find_entry("fig05").expect("known key"),
             find_entry("ext-facility").expect("known key"),
@@ -290,5 +296,139 @@ mod tests {
         engine.run_mc(&entries, &mc, &mc_config).expect("mc run");
         assert_eq!(disk.counters(), (0, 21, 21));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh engine of either kind, reading through a disk cache in
+    /// `disk` when given.
+    fn fresh_engine(resident: bool, disk: Option<&Path>) -> Engine {
+        let engine = if resident {
+            Engine::resident(DEFAULT_CACHE_CAPACITY)
+        } else {
+            Engine::new()
+        };
+        match disk {
+            Some(dir) => engine.with_disk(DiskCache::open(dir).expect("cache dir")),
+            None => engine,
+        }
+    }
+
+    /// What one run hands back: rendered outputs and scalars, which both
+    /// engine kinds and `no_cache` must agree on, and the per-entry
+    /// counters (runs, disk runs, disk hits) and lookup outcomes (hits,
+    /// misses, in-flight dedups), which both engine kinds must agree on.
+    struct Observed {
+        outputs: Vec<String>,
+        scalars: Vec<Vec<Scalar>>,
+        counters: [Vec<usize>; 3],
+        lookups: [u64; 3],
+    }
+
+    /// Runs `run` on a one-shot engine (`shot`) and on a resident engine
+    /// (`kept`), each fresh, without a disk cache and then on a cold and a
+    /// warm one, and checks both against each other and against a
+    /// `no_cache` run. Returns the one-shot observations.
+    fn assert_engines_agree(name: &str, run: &dyn Fn(&Engine, bool) -> Observed) -> Vec<Observed> {
+        let dir = std::env::temp_dir().join(format!("cc-pipeline-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let uncached = run(&Engine::new(), true);
+        let mut shots = Vec::new();
+        for round in ["no disk cache", "cold disk cache", "warm disk cache"] {
+            let disk = |kind: &str| (round != "no disk cache").then(|| dir.join(kind));
+            let one_shot = fresh_engine(false, disk("one-shot").as_deref());
+            let shot = run(&one_shot, false);
+            let kept = run(&fresh_engine(true, disk("resident").as_deref()), false);
+            assert_eq!(shot.outputs, kept.outputs, "{name}, {round}");
+            assert_eq!(shot.outputs, uncached.outputs, "{name}, {round}");
+            assert_eq!(shot.scalars, kept.scalars, "{name}, {round}");
+            assert_eq!(shot.scalars, uncached.scalars, "{name}, {round}");
+            assert_eq!(shot.counters, kept.counters, "{name}, {round}");
+            assert_eq!(shot.lookups, kept.lookups, "{name}, {round}");
+            if round == "warm disk cache" {
+                let [runs, disk_runs, disk_hits] = &shot.counters;
+                assert_eq!((disk_hits, disk_runs.iter().sum()), (runs, 0), "{name}");
+            }
+            let stats = one_shot.stats();
+            let resident_state = [
+                stats.hits,
+                stats.misses,
+                stats.inflight_dedups,
+                stats.evictions,
+                stats.entries,
+            ];
+            assert_eq!(resident_state, [0; 5], "{name}, {round}: nothing resident");
+            shots.push(shot);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        shots
+    }
+
+    #[test]
+    fn one_shot_engine_matches_resident_and_uncached_runs() {
+        let suite = with_tags(&[]);
+        let sweeps = ["fleet.growth=1.0,1.5", "grid.intensity=50,380"]
+            .map(|text| SweepSpec::parse(text).expect("valid sweep"));
+        let matrix =
+            ScenarioMatrix::new(Scenario::paper_defaults(), sweeps.to_vec()).expect("matrix");
+        let points: Vec<_> = matrix.points().collect();
+        let contexts: Vec<_> = points
+            .iter()
+            .map(|p| RunContext::try_from_overlay(p.overlay.clone()).expect("valid scenario"))
+            .collect();
+        let grid = |engine: &Engine, no_cache: bool| {
+            let config = GridConfig {
+                jobs: 2,
+                no_cache,
+                format: Format::Json,
+            };
+            let artifacts = Mutex::new(Vec::new());
+            let render = |job: &crate::GridJob<'_>| {
+                let point = job.sweeping.then_some(job.point);
+                let artifact = render_artifact(
+                    job.entry,
+                    job.experiment,
+                    job.output,
+                    job.context,
+                    point,
+                    job.format,
+                );
+                vec![artifact]
+            };
+            let sink = |line| artifacts.lock().expect("no panics").push(line);
+            let result = engine.run_grid(&suite, &points, &contexts, &config, render, sink);
+            let comparisons = build_comparisons(&suite, &points, &result.scalars, &matrix)
+                .expect("full scalar coverage");
+            let mut outputs = artifacts.into_inner().expect("no panics");
+            outputs.push(render_comparisons(&comparisons, &matrix, Format::Json));
+            Observed {
+                outputs,
+                scalars: result.scalars,
+                counters: [result.run_counts, result.disk_runs, result.disk_hits],
+                lookups: [result.hits, result.misses, result.inflight_dedups],
+            }
+        };
+        for one_shot in assert_engines_agree("grid", &grid) {
+            let groups = one_shot.counters[0].iter().sum::<usize>() as u64;
+            assert_eq!(one_shot.lookups, [0, groups, 0], "one miss per group");
+        }
+
+        let datacenter = with_tags(&[Tag::Datacenter]);
+        let binding = DistBinding::parse("fleet.growth ~ uniform(1.2,1.4)").expect("binding");
+        let mc = MonteCarloMatrix::new(Scenario::paper_defaults(), vec![binding], 100, 7)
+            .expect("valid matrix");
+        let sampled = |engine: &Engine, no_cache: bool| {
+            let config = McConfig { jobs: 2, no_cache };
+            let result = engine.run_mc(&datacenter, &mc, &config).expect("mc run");
+            Observed {
+                outputs: vec![render_mc_comparisons(
+                    &result.comparisons,
+                    &mc,
+                    Format::Json,
+                )],
+                scalars: Vec::new(),
+                counters: [result.run_counts, result.disk_runs, result.disk_hits],
+                lookups: [result.hits, result.misses, result.inflight_dedups],
+            }
+        };
+        assert_engines_agree("mc", &sampled);
     }
 }

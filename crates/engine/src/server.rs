@@ -917,7 +917,7 @@ mod tests {
 
     #[test]
     fn serves_runs_stats_and_errors_on_one_connection() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 4).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let daemon = std::thread::spawn(move || server.run());
@@ -989,7 +989,7 @@ mod tests {
 
     #[test]
     fn serves_monte_carlo_runs_with_banded_digests() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 4).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let daemon = std::thread::spawn(move || server.run());
@@ -1041,7 +1041,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_sweeps_compute_each_fingerprint_once() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 4).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let daemon = std::thread::spawn(move || server.run());
@@ -1083,7 +1083,7 @@ mod tests {
 
     #[test]
     fn hello_reports_version_and_limits() {
-        let engine = Arc::new(Engine::with_capacity(32));
+        let engine = Arc::new(Engine::resident(32));
         let server = Server::bind("127.0.0.1:0", engine, 4)
             .expect("bind")
             .queue_depth(5);
@@ -1120,7 +1120,7 @@ mod tests {
 
     #[test]
     fn pipelined_ids_multiplex_and_pair_responses() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", engine, 4).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let daemon = std::thread::spawn(move || server.run());
@@ -1164,7 +1164,7 @@ mod tests {
 
     #[test]
     fn batches_validate_atomically_and_aggregate_done() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), 4).expect("bind");
         let addr = server.local_addr().expect("local addr");
         let daemon = std::thread::spawn(move || server.run());
@@ -1209,7 +1209,7 @@ mod tests {
 
     #[test]
     fn zero_depth_queue_rejects_with_retry_after() {
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::resident(crate::DEFAULT_CACHE_CAPACITY));
         let server = Server::bind("127.0.0.1:0", engine, 4)
             .expect("bind")
             .queue_depth(0);

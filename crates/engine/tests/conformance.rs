@@ -25,7 +25,7 @@
 //! drift apart silently.
 
 use cc_engine::protocol::{ERROR_CATEGORIES, OPS, PROTOCOL_VERSION, RESPONSE_KINDS};
-use cc_engine::{Engine, Server};
+use cc_engine::{Engine, Server, DEFAULT_CACHE_CAPACITY};
 use cc_report::JsonValue;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
@@ -117,10 +117,9 @@ fn run_transcript(name: &str, text: &str) {
         }
     }
 
-    let engine = match cache_capacity {
-        Some(capacity) => Arc::new(Engine::with_capacity(capacity)),
-        None => Arc::new(Engine::new()),
-    };
+    // The resident engine `repro serve` builds.
+    let capacity = cache_capacity.unwrap_or(DEFAULT_CACHE_CAPACITY);
+    let engine = Arc::new(Engine::resident(capacity));
     let server = Server::bind("127.0.0.1:0", engine, max_jobs)
         .expect("bind conformance server")
         .queue_depth(queue_depth);

@@ -46,11 +46,9 @@ use cc_engine::artifact::{
 };
 use cc_engine::grid::{build_comparisons, disk_footer_lines, explain_lines, footer_lines};
 use cc_engine::mc;
+use cc_engine::protocol::{write_frame, Frame, Request, RunRequest};
 use cc_engine::{DiskCache, Engine, Format, GridConfig, GridJob, McConfig, Server};
-use cc_report::{
-    DistBinding, JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioMatrix, ScenarioPoint,
-    SweepSpec,
-};
+use cc_report::{JsonValue, Scenario};
 use std::io::{BufRead, Write as _};
 use std::path::Path;
 use std::sync::Arc;
@@ -147,18 +145,12 @@ fn fail(message: &str) -> ! {
 struct Options {
     list: bool,
     explain: bool,
-    no_cache: bool,
-    tags: Vec<Tag>,
+    /// The base scenario: the `--scenario` file, or the paper defaults.
     scenario: Scenario,
-    sweeps: Vec<SweepSpec>,
-    dists: Vec<DistBinding>,
-    samples: Option<usize>,
-    seed: u64,
+    request: RunRequest,
     format: Format,
     out_dir: Option<std::path::PathBuf>,
     cache_dir: Option<std::path::PathBuf>,
-    jobs: usize,
-    keys: Vec<String>,
 }
 
 fn value_of(flag: &str, args: &mut dyn Iterator<Item = String>) -> String {
@@ -166,25 +158,72 @@ fn value_of(flag: &str, args: &mut dyn Iterator<Item = String>) -> String {
         .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
 }
 
-fn parse_args(args: impl Iterator<Item = String>) -> Options {
-    let mut args = args.peekable();
+/// The value of `flag` as a non-negative integer, or a positive one.
+fn count_of<T: std::str::FromStr + PartialOrd + Default>(
+    flag: &str,
+    positive: bool,
+    args: &mut dyn Iterator<Item = String>,
+) -> T {
+    let n = value_of(flag, args);
+    n.parse()
+        .ok()
+        .filter(|n| !positive || *n > T::default())
+        .unwrap_or_else(|| {
+            let kind = if positive { "positive" } else { "non-negative" };
+            fail(&format!("{flag} expects a {kind} integer, got `{n}`"))
+        })
+}
+
+/// The one parser of the run flags `repro` and `repro client` share:
+/// applies `arg` (and its value) to `request`, or returns `false` when
+/// `arg` is not a run flag. Validation is left to `RunRequest::resolve`,
+/// on the daemon and in one-shot runs alike.
+fn run_flag(request: &mut RunRequest, arg: &str, args: &mut dyn Iterator<Item = String>) -> bool {
+    match arg {
+        "--experiment" => request.keys.push(value_of(arg, args)),
+        "--tag" => request.tags.push(value_of(arg, args)),
+        // A `~` in a --set/--sweep value binds a distribution instead of
+        // a scalar or an enumerated sweep — the Monte-Carlo front door.
+        // Checked before the `=` split: `fab.node_nm ~ triangular(5,7,10)`
+        // has no `=` at all.
+        "--set" | "--sweep" => {
+            let text = value_of(arg, args);
+            if text.contains('~') {
+                request.dists.push(text);
+            } else if arg == "--sweep" {
+                request.sweeps.push(text);
+            } else {
+                let Some((key, value)) = text.split_once('=') else {
+                    fail(&format!("--set expects key=value, got `{text}`"));
+                };
+                request.sets.push((key.trim().into(), value.trim().into()));
+            }
+        }
+        "--samples" => request.samples = Some(count_of(arg, true, args)),
+        "--seed" => request.seed = Some(count_of(arg, false, args)),
+        "--jobs" => request.jobs = Some(count_of(arg, true, args)),
+        "--no-cache" => request.no_cache = true,
+        // `cargo repro -- fig10` forwards the `--` separator; accept it.
+        "--" => {}
+        key if !key.starts_with('-') => request.keys.push(key.to_string()),
+        _ => return false,
+    }
+    true
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Options {
     let mut list = false;
     let mut explain = false;
-    let mut no_cache = false;
-    let mut tags = Vec::new();
     let mut scenario_file: Option<String> = None;
-    let mut sets: Vec<(String, String)> = Vec::new();
-    let mut sweeps = Vec::new();
-    let mut dists: Vec<DistBinding> = Vec::new();
-    let mut samples: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut request = RunRequest::default();
     let mut format = Format::Text;
     let mut out_dir = None;
     let mut cache_dir = None;
-    let mut jobs = 1usize;
-    let mut keys = Vec::new();
 
     while let Some(arg) = args.next() {
+        if run_flag(&mut request, &arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
             "--help" | "-h" => {
                 print_usage();
@@ -192,60 +231,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             }
             "--list" => list = true,
             "--explain" => explain = true,
-            "--no-cache" => no_cache = true,
-            "--tag" => {
-                let name = value_of("--tag", &mut args);
-                match Tag::parse(&name) {
-                    Some(tag) => tags.push(tag),
-                    None => fail(&format!("unknown tag `{name}`")),
-                }
-            }
-            "--experiment" => keys.push(value_of("--experiment", &mut args)),
             "--scenario" => scenario_file = Some(value_of("--scenario", &mut args)),
-            // A `~` in a --set/--sweep value binds a distribution instead of
-            // a scalar or an enumerated sweep — the Monte-Carlo front door.
-            // Checked before the `=` split: `fab.node_nm ~ triangular(5,7,10)`
-            // has no `=` at all.
-            "--set" => {
-                let pair = value_of("--set", &mut args);
-                if pair.contains('~') {
-                    match DistBinding::parse(&pair) {
-                        Ok(binding) => dists.push(binding),
-                        Err(e) => fail(&e.to_string()),
-                    }
-                    continue;
-                }
-                let Some((key, value)) = pair.split_once('=') else {
-                    fail(&format!("--set expects key=value, got `{pair}`"));
-                };
-                sets.push((key.trim().to_string(), value.trim().to_string()));
-            }
-            "--sweep" => {
-                let spec = value_of("--sweep", &mut args);
-                if spec.contains('~') {
-                    match DistBinding::parse(&spec) {
-                        Ok(binding) => dists.push(binding),
-                        Err(e) => fail(&e.to_string()),
-                    }
-                    continue;
-                }
-                match SweepSpec::parse(&spec) {
-                    Ok(spec) => sweeps.push(spec),
-                    Err(e) => fail(&e.to_string()),
-                }
-            }
-            "--samples" => {
-                let n = value_of("--samples", &mut args);
-                samples = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--samples expects a positive integer, got `{n}`"))
-                }));
-            }
-            "--seed" => {
-                let n = value_of("--seed", &mut args);
-                seed = Some(n.parse().unwrap_or_else(|_| {
-                    fail(&format!("--seed expects a non-negative integer, got `{n}`"))
-                }));
-            }
             "--markdown" => format = Format::Markdown,
             "--csv" => format = Format::Csv,
             "--json" => format = Format::Json,
@@ -253,25 +239,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             "--cache-dir" => {
                 cache_dir = Some(std::path::PathBuf::from(value_of("--cache-dir", &mut args)));
             }
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                });
-            }
-            // `cargo repro -- fig10` forwards the `--` separator; accept it.
-            "--" => {}
-            flag if flag.starts_with('-') => fail(&format!("unknown option `{flag}`")),
-            key => keys.push(key.to_string()),
+            flag => fail(&format!("unknown option `{flag}`")),
         }
     }
 
-    // Assemble the base scenario: file (or paper defaults) first, then --set
-    // overrides strictly in command-line order. `Scenario::set` resolves
-    // `grid.source` to its Table II intensity itself, so a later
-    // `--set grid.intensity=…` still wins — overrides never clobber each
-    // other out of order.
-    let mut scenario = match &scenario_file {
+    // The base scenario: the file, or the paper defaults. `resolve_on`
+    // applies the --set overrides to it strictly in command-line order.
+    let scenario = match &scenario_file {
         None => Scenario::paper_defaults(),
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -279,47 +253,15 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
             Scenario::from_toml(&text).unwrap_or_else(|e| fail(&format!("scenario `{path}`: {e}")))
         }
     };
-    for (key, value) in &sets {
-        scenario
-            .set(key, value)
-            .unwrap_or_else(|e| fail(&e.to_string()));
-    }
-    scenario.validate().unwrap_or_else(|e| fail(&e.to_string()));
-
-    // Monte-Carlo flags travel together: distributions need a sample
-    // count, a sample count needs distributions, and a sampled axis has no
-    // enumerable grid to sweep.
-    if !dists.is_empty() {
-        if samples.is_none() {
-            fail("distribution bindings (`path ~ dist(...)`) require --samples <n>");
-        }
-        if !sweeps.is_empty() {
-            fail("--sweep value sweeps cannot be combined with distribution sampling");
-        }
-    } else {
-        if samples.is_some() {
-            fail("--samples requires at least one `path ~ dist(...)` binding");
-        }
-        if seed.is_some() {
-            fail("--seed requires --samples");
-        }
-    }
 
     Options {
         list,
         explain,
-        no_cache,
-        tags,
         scenario,
-        sweeps,
-        dists,
-        samples,
-        seed: seed.unwrap_or(0),
+        request,
         format,
         out_dir,
         cache_dir,
-        jobs,
-        keys,
     }
 }
 
@@ -382,7 +324,7 @@ fn emit_report(
             report,
         )),
     }
-    if options.no_cache {
+    if options.request.no_cache {
         return;
     }
     let mut footer = footer_lines(selected, width, run_counts);
@@ -398,30 +340,6 @@ fn emit_report(
     }
 }
 
-fn select(options: &Options) -> Vec<&'static Entry> {
-    if options.keys.is_empty() {
-        return experiments::with_tags(&options.tags);
-    }
-    let mut selected = Vec::new();
-    for key in &options.keys {
-        match experiments::find_entry(key) {
-            Some(entry) => {
-                // An explicitly named key that fails the tag filter is a
-                // contradiction in the request, not something to drop
-                // silently.
-                if let Some(&missing) = options.tags.iter().find(|&&t| !entry.has_tag(t)) {
-                    fail(&format!(
-                        "experiment `{key}` does not carry tag `{missing}`"
-                    ));
-                }
-                selected.push(entry);
-            }
-            None => fail(&format!("unknown experiment `{key}`")),
-        }
-    }
-    selected
-}
-
 /// `repro serve`: bind the listener, print the chosen address (port 0 is
 /// resolved by the OS) and serve until a client sends `{"op":"shutdown"}`.
 fn serve_main(args: &[String]) {
@@ -435,33 +353,14 @@ fn serve_main(args: &[String]) {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = Some(value_of("--addr", &mut args)),
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                });
-            }
-            "--cache-capacity" => {
-                let n = value_of("--cache-capacity", &mut args);
-                capacity = n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--cache-capacity expects a positive integer, got `{n}`"
-                    ))
-                });
-            }
+            "--jobs" => jobs = count_of("--jobs", true, &mut args),
+            "--cache-capacity" => capacity = count_of("--cache-capacity", true, &mut args),
             "--cache-dir" => {
                 cache_dir = Some(std::path::PathBuf::from(value_of("--cache-dir", &mut args)));
             }
             // Queue depth 0 is allowed: a drill server that rejects every
             // multiplexed request with `overloaded`.
-            "--queue-depth" => {
-                let n = value_of("--queue-depth", &mut args);
-                queue_depth = n.parse().ok().unwrap_or_else(|| {
-                    fail(&format!(
-                        "--queue-depth expects a non-negative integer, got `{n}`"
-                    ))
-                });
-            }
+            "--queue-depth" => queue_depth = count_of("--queue-depth", false, &mut args),
             "--log" => log_file = Some(std::path::PathBuf::from(value_of("--log", &mut args))),
             flag => fail(&format!("unknown serve option `{flag}`")),
         }
@@ -512,73 +411,26 @@ fn category_exit_code(category: &str) -> i32 {
     }
 }
 
-/// `repro client`: build one protocol request from CLI-shaped flags, send
-/// it, and stream the responses — artifacts to `--out` files (byte-identical
-/// to one-shot `repro --json --out` artifacts) or raw to stdout. A server
-/// rejection exits with the category's [`category_exit_code`].
+/// `repro client`: parse the run flags into the same [`RunRequest`] a
+/// one-shot run resolves, send it as one [`write_frame`] line, and stream
+/// the responses — artifacts to `--out` files (byte-identical to one-shot
+/// `repro --json --out` artifacts) or raw to stdout. A server rejection
+/// exits with the category's [`category_exit_code`].
 fn client_main(args: &[String]) {
     let mut args = args.iter().cloned();
     let mut addr: Option<String> = None;
-    let mut keys: Vec<String> = Vec::new();
-    let mut tags: Vec<String> = Vec::new();
-    let mut sets: Vec<(String, String)> = Vec::new();
-    let mut sweeps: Vec<String> = Vec::new();
-    let mut dists: Vec<String> = Vec::new();
-    let mut samples: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut no_cache = false;
+    let mut run = RunRequest::default();
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut stats = false;
     let mut hello = false;
     let mut shutdown = false;
     while let Some(arg) = args.next() {
+        if run_flag(&mut run, &arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
             "--addr" => addr = Some(value_of("--addr", &mut args)),
             "--hello" => hello = true,
-            "--experiment" => keys.push(value_of("--experiment", &mut args)),
-            "--tag" => tags.push(value_of("--tag", &mut args)),
-            // As in one-shot mode, a `~` in --set/--sweep binds a
-            // distribution; the text travels to the server verbatim, which
-            // parses it with the same DistBinding grammar.
-            "--set" => {
-                let pair = value_of("--set", &mut args);
-                if pair.contains('~') {
-                    dists.push(pair);
-                    continue;
-                }
-                let Some((key, value)) = pair.split_once('=') else {
-                    fail(&format!("--set expects key=value, got `{pair}`"));
-                };
-                sets.push((key.trim().to_string(), value.trim().to_string()));
-            }
-            "--sweep" => {
-                let spec = value_of("--sweep", &mut args);
-                if spec.contains('~') {
-                    dists.push(spec);
-                    continue;
-                }
-                sweeps.push(spec);
-            }
-            "--samples" => {
-                let n = value_of("--samples", &mut args);
-                samples = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--samples expects a positive integer, got `{n}`"))
-                }));
-            }
-            "--seed" => {
-                let n = value_of("--seed", &mut args);
-                seed = Some(n.parse().unwrap_or_else(|_| {
-                    fail(&format!("--seed expects a non-negative integer, got `{n}`"))
-                }));
-            }
-            "--jobs" => {
-                let n = value_of("--jobs", &mut args);
-                jobs = Some(n.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                    fail(&format!("--jobs expects a positive integer, got `{n}`"))
-                }));
-            }
-            "--no-cache" => no_cache = true,
             "--out" => out_dir = Some(std::path::PathBuf::from(value_of("--out", &mut args))),
             "--stats" => stats = true,
             "--shutdown" => shutdown = true,
@@ -586,63 +438,16 @@ fn client_main(args: &[String]) {
         }
     }
     let addr = addr.unwrap_or_else(|| fail("client requires --addr <host:port>"));
-
     let request = if hello {
-        JsonValue::object([("op", JsonValue::from("hello"))])
+        Request::Hello
     } else if stats {
-        JsonValue::object([("op", JsonValue::from("stats"))])
+        Request::Stats
     } else if shutdown {
-        JsonValue::object([("op", JsonValue::from("shutdown"))])
+        Request::Shutdown
     } else {
-        let mut fields = vec![("op", JsonValue::from("run"))];
-        if !keys.is_empty() {
-            fields.push((
-                "experiments",
-                JsonValue::array(keys.iter().map(|k| JsonValue::from(k.as_str()))),
-            ));
-        }
-        if !tags.is_empty() {
-            fields.push((
-                "tags",
-                JsonValue::array(tags.iter().map(|t| JsonValue::from(t.as_str()))),
-            ));
-        }
-        if !sets.is_empty() {
-            fields.push((
-                "set",
-                JsonValue::Object(
-                    sets.iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::from(v.as_str())))
-                        .collect(),
-                ),
-            ));
-        }
-        if !sweeps.is_empty() {
-            fields.push((
-                "sweep",
-                JsonValue::array(sweeps.iter().map(|s| JsonValue::from(s.as_str()))),
-            ));
-        }
-        if !dists.is_empty() {
-            fields.push((
-                "dists",
-                JsonValue::array(dists.iter().map(|d| JsonValue::from(d.as_str()))),
-            ));
-        }
-        if let Some(samples) = samples {
-            fields.push(("samples", JsonValue::Integer(samples as u64)));
-        }
-        if let Some(seed) = seed {
-            fields.push(("seed", JsonValue::Integer(seed)));
-        }
-        if let Some(jobs) = jobs {
-            fields.push(("jobs", JsonValue::Integer(jobs as u64)));
-        }
-        if no_cache {
-            fields.push(("no_cache", JsonValue::Bool(true)));
-        }
-        JsonValue::object(fields)
+        Request::Run(run)
     };
+    let request = write_frame(&Frame { id: None, request });
 
     if let Some(dir) = &out_dir {
         create_out_dir(dir);
@@ -714,9 +519,10 @@ fn main() {
         _ => {}
     }
     let options = parse_args(args.into_iter());
-    let selected = select(&options);
+    let request = &options.request;
 
     if options.list {
+        let selected = request.select().unwrap_or_else(|e| fail(&e.message));
         if options.format == Format::Json {
             let index = JsonValue::array(selected.iter().map(|e| {
                 JsonValue::object([
@@ -738,58 +544,42 @@ fn main() {
         return;
     }
 
-    if selected.is_empty() {
-        fail("no experiments match the given keys/tags");
-    }
+    // The same validation and expansion a served request gets, over the
+    // `--scenario` base.
+    let run = request
+        .resolve_on(options.scenario.clone())
+        .unwrap_or_else(|e| fail(&e.message));
+    let selected = &run.entries;
+    let (jobs, no_cache) = (request.jobs.unwrap_or(1), request.no_cache);
 
     // Monte-Carlo: distribution bindings sample the scenario instead of
     // enumerating it. One streaming run, one banded comparison report.
-    if let Some(samples) = options.samples {
-        let mc = MonteCarloMatrix::new(
-            options.scenario.clone(),
-            options.dists.clone(),
-            samples,
-            options.seed,
-        )
-        .unwrap_or_else(|e| fail(&e.to_string()));
+    if let Some(mc) = &run.mc {
         if options.explain {
-            for line in mc::explain_lines(&selected, &mc, options.no_cache) {
+            for line in mc::explain_lines(selected, mc, no_cache) {
                 emit(line);
             }
             return;
         }
         let engine = one_shot_engine(&options);
-        let config = McConfig {
-            jobs: options.jobs,
-            no_cache: options.no_cache,
-        };
+        let config = McConfig { jobs, no_cache };
         let result = engine
-            .run_mc(&selected, &mc, &config)
+            .run_mc(selected, mc, &config)
             .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_mc_comparisons(&result.comparisons, &mc, options.format);
+        let report = render_mc_comparisons(&result.comparisons, mc, options.format);
         emit_report(
             &options,
-            &selected,
+            selected,
             "mc-comparison",
             &report,
-            samples,
+            mc.len(),
             [&result.run_counts, &result.disk_runs, &result.disk_hits],
         );
         return;
     }
 
-    let matrix = ScenarioMatrix::new(options.scenario.clone(), options.sweeps.clone())
-        .unwrap_or_else(|e| fail(&e.to_string()));
-    let points: Vec<ScenarioPoint> = matrix.points().collect();
-    let contexts: Vec<RunContext> = points
-        .iter()
-        .map(|p| {
-            RunContext::try_from_overlay(p.overlay.clone()).unwrap_or_else(|e| fail(&e.to_string()))
-        })
-        .collect();
-
     if options.explain {
-        for line in explain_lines(&selected, &points, options.no_cache) {
+        for line in explain_lines(selected, &run.points, no_cache) {
             emit(line);
         }
         return;
@@ -800,8 +590,8 @@ fn main() {
     // print.
     let engine = one_shot_engine(&options);
     let config = GridConfig {
-        jobs: options.jobs,
-        no_cache: options.no_cache,
+        jobs,
+        no_cache,
         format: options.format,
     };
     // Renders one artifact on the worker thread, streaming it to `--out`
@@ -828,22 +618,29 @@ fn main() {
             }
         }
     };
-    let result = engine.run_grid(&selected, &points, &contexts, &config, render, |line| {
-        emit(line);
-    });
+    let result = engine.run_grid(
+        selected,
+        &run.points,
+        &run.contexts,
+        &config,
+        render,
+        |line| {
+            emit(line);
+        },
+    );
 
     // With an active sweep, diff every experiment's summary scalar across the
     // grid points into the comparison report.
-    if matrix.is_sweep() {
-        let comparisons = build_comparisons(&selected, &points, &result.scalars, &matrix)
+    if run.matrix.is_sweep() {
+        let comparisons = build_comparisons(selected, &run.points, &result.scalars, &run.matrix)
             .unwrap_or_else(|e| fail(&e.to_string()));
-        let report = render_comparisons(&comparisons, &matrix, options.format);
+        let report = render_comparisons(&comparisons, &run.matrix, options.format);
         emit_report(
             &options,
-            &selected,
+            selected,
             "comparison",
             &report,
-            points.len(),
+            run.points.len(),
             [&result.run_counts, &result.disk_runs, &result.disk_hits],
         );
     }

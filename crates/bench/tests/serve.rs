@@ -550,3 +550,104 @@ fn served_mc_comparison_byte_matches_the_one_shot_cli() {
     std::fs::remove_dir_all(&dir).ok();
     daemon.shutdown();
 }
+
+#[test]
+fn one_shot_and_served_runs_reject_single_faults_alike() {
+    let daemon = Daemon::start();
+    let binding = "fleet.growth ~ uniform(1.2,1.4)";
+    for (args, category) in [
+        (&["--experiment", "fig99"][..], "unknown-experiment"),
+        (&["--tag", "quantum"], "unknown-tag"),
+        (
+            &["--tag", "mobile", "--experiment", "ext-facility"],
+            "unknown-experiment",
+        ),
+        (
+            &["--experiment", "fig10", "--set", "grid.intensity=dirty"],
+            "invalid-value",
+        ),
+        (
+            &[
+                "--experiment",
+                "fig10",
+                "--set",
+                "grid.renewable_fraction=2",
+            ],
+            "invalid-scenario",
+        ),
+        (
+            &[
+                "--experiment",
+                "fig10",
+                "--sweep",
+                "grid.intensity=800..10/100",
+            ],
+            "invalid-sweep",
+        ),
+        (
+            &["--experiment", "ext-facility", "--samples", "5"],
+            "invalid-sweep",
+        ),
+        (
+            &["--experiment", "ext-facility", "--set", binding],
+            "invalid-sweep",
+        ),
+        (
+            &[
+                "--experiment",
+                "ext-facility",
+                "--set",
+                binding,
+                "--samples",
+                "10",
+                "--sweep",
+                "grid.intensity=50,380",
+            ],
+            "invalid-sweep",
+        ),
+        (
+            &[
+                "--experiment",
+                "ext-facility",
+                "--set",
+                "fleet.growth ~ uniform(1.4,1.2)",
+                "--samples",
+                "10",
+            ],
+            "invalid-sweep",
+        ),
+    ] {
+        let one_shot = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run one-shot repro");
+        assert_eq!(one_shot.status.code(), Some(2), "one-shot {args:?}");
+        let one_shot = String::from_utf8(one_shot.stderr).unwrap();
+        let one_shot = one_shot
+            .lines()
+            .next()
+            .and_then(|line| line.strip_prefix("repro: "))
+            .unwrap_or_else(|| panic!("one-shot {args:?} diagnostic: {one_shot}"));
+
+        let served = client(&daemon.addr, args);
+        let code = match category {
+            "unknown-experiment" => 11,
+            "unknown-tag" => 12,
+            "invalid-value" => 14,
+            "invalid-scenario" => 15,
+            _ => 16,
+        };
+        assert_eq!(served.status.code(), Some(code), "client {args:?}");
+        let served = String::from_utf8(served.stderr).unwrap();
+        let served = served
+            .split_once(&format!("{category}: "))
+            .map(|(_, message)| message.lines().next().unwrap_or_default())
+            .unwrap_or_else(|| panic!("client {args:?} diagnostic: {served}"));
+
+        assert_eq!(
+            one_shot, served,
+            "one-shot and served messages for {args:?}"
+        );
+    }
+    daemon.shutdown();
+}

@@ -45,16 +45,22 @@
 //! the conformance suite cross-checks them against the document so the
 //! two cannot drift.
 //!
-//! Request parsing is deliberately strict about shape — unknown `op`
-//! values, non-string experiment keys, or a non-object `set` are
-//! [`ProtocolError`]s, not silent defaults — so client bugs surface as
-//! structured errors instead of empty responses.
+//! Request parsing ([`parse_frame`]) is deliberately strict about shape —
+//! unknown `op` values, non-string experiment keys, or a non-object `set`
+//! are [`ProtocolError`]s, not silent defaults — so client bugs surface as
+//! structured errors instead of empty responses. [`write_frame`] is its
+//! inverse: `repro client` sends the [`RunRequest`] its flags filled
+//! through it, so the CLI, the client and the daemon share one
+//! description of a run, and [`RunRequest::resolve`] (or
+//! [`RunRequest::resolve_on`], over a one-shot `--scenario` file) is the
+//! one place a run is validated and expanded.
 
 use crate::intern::{InternedScenario, ScenarioInterner};
 use cc_core::experiments::{self, Entry, Tag};
+use cc_report::json::{write_array, write_object, ObjectWriter};
 use cc_report::{
-    JsonValue, MonteCarloMatrix, RunContext, ScenarioError, ScenarioMatrix, ScenarioPoint,
-    SweepSpec,
+    JsonValue, MonteCarloMatrix, RunContext, Scenario, ScenarioError, ScenarioMatrix,
+    ScenarioPoint, SweepSpec,
 };
 use std::sync::Arc;
 
@@ -110,17 +116,6 @@ impl ProtocolError {
             category,
             message: message.into(),
         }
-    }
-
-    /// The error as a response line (without trailing newline).
-    #[must_use]
-    pub fn to_response(&self) -> String {
-        JsonValue::object([
-            ("type", JsonValue::from("error")),
-            ("error", JsonValue::from(self.category)),
-            ("message", JsonValue::from(self.message.as_str())),
-        ])
-        .render()
     }
 }
 
@@ -316,12 +311,6 @@ fn string_list(request: &JsonValue, field: &str) -> Result<Vec<String>, Protocol
         .collect()
 }
 
-/// Parses one request line into a [`Request`], discarding any id — the
-/// v1 entry point, kept for callers that handle requests serially.
-pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    parse_frame(line).map(|f| f.request).map_err(|e| e.error)
-}
-
 /// Parses one request line into a [`Frame`]. A rejected line still
 /// reports the id it carried whenever the JSON parsed far enough to
 /// recover one, so multiplexing clients can bill the error to the right
@@ -397,6 +386,70 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
         }
     };
     Ok(Frame { id, request })
+}
+
+/// Writes `frame` as one request line (without trailing newline) — the
+/// inverse of [`parse_frame`]: empty lists, absent counts and a `false`
+/// `no_cache` are left out, as the parser defaults them, and `set` keeps
+/// its pairs in order, so a later override still wins.
+#[must_use]
+pub fn write_frame(frame: &Frame) -> String {
+    let op = match &frame.request {
+        Request::Hello => "hello",
+        Request::Run(_) => "run",
+        Request::Batch(_) => "batch",
+        Request::Stats => "stats",
+        Request::Shutdown => "shutdown",
+    };
+    let mut line = String::new();
+    write_object(&mut line, |o| {
+        o.field("op", op);
+        if let Some(id) = &frame.id {
+            o.field("id", &id.to_json());
+        }
+        match &frame.request {
+            Request::Run(run) => write_run_body(o, run),
+            Request::Batch(runs) => write_array(o.key("runs"), runs, |out, run| {
+                write_object(out, |o| write_run_body(o, run));
+            }),
+            _ => {}
+        }
+    });
+    line
+}
+
+/// The members of one `run` payload.
+fn write_run_body(o: &mut ObjectWriter<'_>, run: &RunRequest) {
+    let lists = [
+        ("experiments", &run.keys),
+        ("tags", &run.tags),
+        ("sweep", &run.sweeps),
+        ("dists", &run.dists),
+    ];
+    for (key, list) in lists {
+        if !list.is_empty() {
+            o.field(key, list);
+        }
+    }
+    if !run.sets.is_empty() {
+        write_object(o.key("set"), |set| {
+            for (key, value) in &run.sets {
+                set.field(key, value);
+            }
+        });
+    }
+    if let Some(samples) = run.samples {
+        o.field("samples", &samples);
+    }
+    if let Some(seed) = run.seed {
+        o.field("seed", &seed);
+    }
+    if let Some(jobs) = run.jobs {
+        o.field("jobs", &jobs);
+    }
+    if run.no_cache {
+        o.field("no_cache", &true);
+    }
 }
 
 /// Extracts the optional `id` field: a string or a non-negative integer.
@@ -484,22 +537,34 @@ fn parse_run_body(value: &JsonValue) -> Result<RunRequest, ProtocolError> {
 
 impl RunRequest {
     /// Validates the request against the experiment registry and the
-    /// canonical scenario `FIELDS`, expanding it into entries, a matrix,
-    /// points and run contexts. Nothing runs here — a failing request is
-    /// rejected before it can touch the engine or its cache.
+    /// canonical scenario `FIELDS`, expanding it over the paper-default
+    /// scenario into entries, a matrix, points and run contexts. Nothing
+    /// runs here — a failing request is rejected before it can touch the
+    /// engine or its cache.
     pub fn resolve(&self) -> Result<ResolvedRun, ProtocolError> {
-        self.resolve_with(None)
+        self.resolve_on(Scenario::paper_defaults())
     }
 
-    /// [`Self::resolve`] with an optional [`ScenarioInterner`]: when one
-    /// is supplied, a repeated `set`/`dists` payload reuses the interned
-    /// validated base scenario instead of re-validating it, so a daemon
-    /// replaying identical scenarios skips the per-request validation
-    /// cost entirely.
-    pub fn resolve_with(
-        &self,
-        interner: Option<&ScenarioInterner>,
-    ) -> Result<ResolvedRun, ProtocolError> {
+    /// [`Self::resolve`] over `base` instead of the paper defaults: the
+    /// one-shot CLI's `--scenario` file, which the `set` overrides then
+    /// amend in order.
+    pub fn resolve_on(&self, base: Scenario) -> Result<ResolvedRun, ProtocolError> {
+        self.expand(|| InternedScenario::build(base, &self.sets, &self.dists).map(Arc::new))
+    }
+
+    /// [`Self::resolve`] through the daemon's [`ScenarioInterner`]: a
+    /// repeated `set`/`dists` payload reuses the interned validated base
+    /// scenario instead of re-validating it, so a daemon replaying
+    /// identical scenarios skips the per-request validation cost entirely.
+    pub fn resolve_with(&self, interner: &ScenarioInterner) -> Result<ResolvedRun, ProtocolError> {
+        self.expand(|| interner.resolve(&self.sets, &self.dists))
+    }
+
+    /// The selection step alone: `keys` against the registry and `tags`
+    /// AND-ed over it. Registry order for tag selections, request order
+    /// for explicit keys; an empty selection is not an error here, so
+    /// `repro --list` can print an empty tag intersection.
+    pub fn select(&self) -> Result<Vec<&'static Entry>, ProtocolError> {
         let tags: Vec<Tag> = self
             .tags
             .iter()
@@ -509,84 +574,78 @@ impl RunRequest {
                 })
             })
             .collect::<Result<_, _>>()?;
+        if self.keys.is_empty() {
+            return Ok(experiments::with_tags(&tags));
+        }
+        self.keys
+            .iter()
+            .map(|key| {
+                let entry = experiments::find_entry(key).ok_or_else(|| {
+                    ProtocolError::new("unknown-experiment", format!("unknown experiment `{key}`"))
+                })?;
+                // An explicitly named key that fails the tag filter is a
+                // contradiction in the request, not something to drop.
+                if let Some(&missing) = tags.iter().find(|&&t| !entry.has_tag(t)) {
+                    return Err(ProtocolError::new(
+                        "unknown-experiment",
+                        format!("experiment `{key}` does not carry tag `{missing}`"),
+                    ));
+                }
+                Ok(entry)
+            })
+            .collect()
+    }
 
-        let entries: Vec<&'static Entry> = if self.keys.is_empty() {
-            experiments::with_tags(&tags)
-        } else {
-            self.keys
-                .iter()
-                .map(|key| {
-                    let entry = experiments::find_entry(key).ok_or_else(|| {
-                        ProtocolError::new(
-                            "unknown-experiment",
-                            format!("unknown experiment `{key}`"),
-                        )
-                    })?;
-                    if let Some(&missing) = tags.iter().find(|&&t| !entry.has_tag(t)) {
-                        return Err(ProtocolError::new(
-                            "unknown-experiment",
-                            format!("experiment `{key}` does not carry tag `{missing}`"),
-                        ));
-                    }
-                    Ok(entry)
-                })
-                .collect::<Result<_, _>>()?
-        };
+    /// The resolve steps after selection: the validated base scenario
+    /// from `base`, the Monte-Carlo flag rules, then sweep expansion.
+    fn expand(
+        &self,
+        base: impl FnOnce() -> Result<Arc<InternedScenario>, ProtocolError>,
+    ) -> Result<ResolvedRun, ProtocolError> {
+        let entries = self.select()?;
         if entries.is_empty() {
             return Err(ProtocolError::new(
                 "unknown-experiment",
                 "no experiments match the given keys/tags",
             ));
         }
-
-        // The validated base scenario plus parsed dist bindings — interned
-        // when an interner is supplied, so identical payloads validate once.
-        let base: Arc<InternedScenario> = match interner {
-            Some(interner) => interner.resolve(&self.sets, &self.dists)?,
-            None => Arc::new(InternedScenario::build(&self.sets, &self.dists)?),
-        };
-
-        // Monte-Carlo sampling and enumerated sweeps are mutually
-        // exclusive: a sampled axis has no fixed point labels for a grid.
+        let base = base()?;
+        // Monte-Carlo fields travel together, and a sampled axis has no
+        // fixed point labels for a grid to sweep. Each rule names both the
+        // wire field and the CLI flag, so the daemon and the CLI reject alike.
+        let rule = |message: &str| ProtocolError::new("invalid-sweep", message);
         let mc = if self.dists.is_empty() {
             if self.samples.is_some() || self.seed.is_some() {
-                return Err(ProtocolError::new(
-                    "invalid-sweep",
-                    "`samples`/`seed` require at least one `dists` binding",
+                return Err(rule(
+                    "`samples`/`seed` (--samples/--seed) require at least one `dists` binding \
+                     (--set 'path ~ dist(...)')",
                 ));
             }
             None
         } else {
             if !self.sweeps.is_empty() {
-                return Err(ProtocolError::new(
-                    "invalid-sweep",
-                    "`dists` cannot be combined with `sweep`",
+                return Err(rule(
+                    "`dists` (--set 'path ~ dist(...)') cannot be combined with `sweep` (--sweep)",
                 ));
             }
             let samples = self.samples.ok_or_else(|| {
-                ProtocolError::new("invalid-sweep", "`dists` requires a `samples` count")
+                rule("`dists` (--set 'path ~ dist(...)') require `samples` (--samples <n>)")
             })?;
+            let seed = self.seed.unwrap_or(0);
+            let bindings = base.bindings.clone();
             Some(
-                MonteCarloMatrix::new(
-                    base.scenario.clone(),
-                    base.bindings.clone(),
-                    samples,
-                    self.seed.unwrap_or(0),
-                )
-                .map_err(|e| ProtocolError::new("invalid-sweep", e.to_string()))?,
+                MonteCarloMatrix::new(base.scenario.clone(), bindings, samples, seed)
+                    .map_err(|e| rule(&e.to_string()))?,
             )
         };
 
         let sweeps: Vec<SweepSpec> = self
             .sweeps
             .iter()
-            .map(|spec| {
-                SweepSpec::parse(spec)
-                    .map_err(|e| ProtocolError::new("invalid-sweep", e.to_string()))
-            })
+            .map(|spec| SweepSpec::parse(spec).map_err(|e| rule(&e.to_string())))
             .collect::<Result<_, _>>()?;
-        let matrix = ScenarioMatrix::new(base.scenario.clone(), sweeps)
-            .map_err(|e| ProtocolError::new("invalid-sweep", e.to_string()))?;
+        let matrix =
+            ScenarioMatrix::new(base.scenario.clone(), sweeps).map_err(|e| rule(&e.to_string()))?;
         let points: Vec<ScenarioPoint> = matrix.points().collect();
         let contexts: Vec<RunContext> = points
             .iter()
@@ -612,9 +671,10 @@ mod tests {
 
     #[test]
     fn parses_the_three_operations() {
-        assert_eq!(parse_request(r#"{"op":"stats"}"#), Ok(Request::Stats));
-        assert_eq!(parse_request(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown));
-        let run = parse_request(
+        let request = |line| parse_frame(line).map(|frame| frame.request);
+        assert_eq!(request(r#"{"op":"stats"}"#), Ok(Request::Stats));
+        assert_eq!(request(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown));
+        let run = request(
             r#"{"op":"run","experiments":["fig10"],"tags":["mobile"],
                 "set":{"grid.intensity":50,"device.lifetime":"3"},
                 "sweep":["grid.intensity=100,300"],"jobs":4,"no_cache":true}"#,
@@ -646,15 +706,9 @@ mod tests {
             r#"{"op":"dance"}"#,
             r#"{"op":"run","jobs":0}"#,
         ] {
-            let err = parse_request(line).expect_err("must be rejected");
-            assert_eq!(err.category, "malformed-request", "line: {line}");
+            let err = parse_frame(line).expect_err("must be rejected");
+            assert_eq!(err.error.category, "malformed-request", "line: {line}");
         }
-        let rendered = parse_request("{oops").unwrap_err().to_response();
-        let parsed = JsonValue::parse(&rendered).expect("error responses are valid JSON");
-        assert_eq!(
-            parsed.get("type").and_then(JsonValue::as_str),
-            Some("error")
-        );
     }
 
     fn rejection(request: &RunRequest) -> ProtocolError {
@@ -725,12 +779,12 @@ mod tests {
 
     #[test]
     fn monte_carlo_requests_parse_and_resolve() {
-        let run = parse_request(
+        let frame = parse_frame(
             r#"{"op":"run","experiments":["ext-facility"],
                 "dists":["fab.node_nm ~ triangular(5,7,10)"],"samples":100,"seed":7}"#,
         )
         .expect("valid mc request");
-        let Request::Run(run) = run else {
+        let Request::Run(run) = frame.request else {
             panic!("expected a run request");
         };
         assert_eq!(run.dists, ["fab.node_nm ~ triangular(5,7,10)"]);
@@ -761,8 +815,8 @@ mod tests {
             r#"{"op":"run","seed":"lucky"}"#,
             r#"{"op":"run","dists":"not-a-list"}"#,
         ] {
-            let err = parse_request(line).expect_err("must be rejected");
-            assert_eq!(err.category, "malformed-request", "line: {line}");
+            let err = parse_frame(line).expect_err("must be rejected");
+            assert_eq!(err.error.category, "malformed-request", "line: {line}");
         }
         let base = RunRequest {
             keys: vec!["ext-facility".into()],
@@ -845,6 +899,62 @@ mod tests {
         // A bad element names its index.
         let err = parse_frame(r#"{"op":"batch","runs":[{"jobs":0}]}"#).expect_err("rejected");
         assert!(err.error.message.starts_with("runs[0]:"), "{}", err.error);
+    }
+
+    #[test]
+    fn written_frames_parse_back_to_the_same_request_and_id() {
+        let sweep = RunRequest {
+            keys: vec!["fig10".into(), "ext-facility".into()],
+            tags: vec!["datacenter".into()],
+            // Order matters: the source sets its Table II intensity, and
+            // the later explicit intensity must still win.
+            sets: vec![
+                ("grid.source".into(), "Hydropower".into()),
+                ("grid.intensity".into(), "50".into()),
+                ("name".into(), r#"say "hi" \ C:\path — Grüße, 電力"#.into()),
+            ],
+            sweeps: vec![
+                "grid.intensity=10..800/100".into(),
+                "device.lifetime=2,3".into(),
+            ],
+            jobs: Some(4),
+            no_cache: true,
+            ..RunRequest::default()
+        };
+        let sampled = RunRequest {
+            keys: vec!["ext-facility".into()],
+            dists: vec![
+                "fleet.growth ~ uniform(1.2,1.4)".into(),
+                "fab.node_nm ~ triangular(5,7,10)".into(),
+            ],
+            samples: Some(10_000),
+            seed: Some(u64::MAX),
+            ..RunRequest::default()
+        };
+        let requests = [
+            Request::Run(sweep.clone()),
+            Request::Run(sampled.clone()),
+            Request::Run(RunRequest::default()),
+            Request::Batch(vec![sweep, sampled]),
+            Request::Hello,
+            Request::Stats,
+            Request::Shutdown,
+        ];
+        let ids = [
+            None,
+            Some(RequestId::Number(42)),
+            Some(RequestId::Text("sweep \"a\" \\ ü".into())),
+        ];
+        for request in requests {
+            for id in &ids {
+                let frame = Frame {
+                    id: id.clone(),
+                    request: request.clone(),
+                };
+                let line = write_frame(&frame);
+                assert_eq!(parse_frame(&line), Ok(frame), "line: {line}");
+            }
+        }
     }
 
     #[test]

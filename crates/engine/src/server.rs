@@ -676,7 +676,7 @@ fn cache_summary(hits: u64, misses: u64, inflight_dedups: u64) -> JsonValue {
 /// grid order, then the comparison (when sweeping) and the terminal `done`
 /// line — all tagged with the request's route.
 fn handle_run(connection: &Connection<'_>, request: &RunRequest, route: Route<'_>) {
-    let resolved = match request.resolve_with(Some(connection.engine.interner())) {
+    let resolved = match request.resolve_with(connection.engine.interner()) {
         Ok(resolved) => resolved,
         Err(error) => {
             connection.writer.send(&route.error(&error));
@@ -712,7 +712,7 @@ fn handle_batch(connection: &Connection<'_>, runs: &[RunRequest], id: Option<&Re
     let base = Route { id, run: None };
     let mut resolved = Vec::with_capacity(runs.len());
     for (index, run) in runs.iter().enumerate() {
-        match run.resolve_with(Some(connection.engine.interner())) {
+        match run.resolve_with(connection.engine.interner()) {
             Ok(r) => resolved.push(r),
             Err(error) => {
                 let route = Route {
